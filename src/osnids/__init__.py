@@ -39,10 +39,7 @@ from .learners import (
     BinaryScorer,
     TrainingConfig,
     meta_feature_matrix,
-    meta_features,
-    score,
     train_base_ensemble,
-    train_base_learner,
 )
 from .meta import (
     BENIGN,
@@ -50,13 +47,12 @@ from .meta import (
     MetaConfig,
     MetaEnsemble,
     Verdict,
-    predict,
     predict_batch,
     train_meta_classifiers,
     vote,
 )
 from .persistence import load_bundle, load_sample_set, save_bundle, save_sample_set
-from .samples import BENIGN_CLASS_ID, BENIGN_CLASS_NAME, LabeledSample, SampleSet
+from .samples import BENIGN_CLASS_ID, BENIGN_CLASS_NAME, RECORD_DTYPE, SampleSet, make_records
 from .splits import SplitResult, SplitSpec, build_splits, split_manifest
 
 __version__ = "0.1.0"

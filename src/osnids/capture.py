@@ -18,13 +18,14 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    CountMismatch,
     EmptyFlowTable,
     NoAttackSamples,
     TruncatedHeader,
     UnreadableFile,
     ValueOutOfRange,
 )
-from .samples import BENIGN_CLASS_ID, FEATURE_LEN, LabeledSample, SampleSet
+from .samples import BENIGN_CLASS_ID, FEATURE_LEN, NO_CLUSTER, RECORD_DTYPE, SampleSet
 
 TCP = "TCP"
 UDP = "UDP"
@@ -32,6 +33,7 @@ UDP = "UDP"
 MAGIC_USEC = 0xA1B2C3D4
 MAGIC_NSEC = 0xA1B23C4D
 LINKTYPE_ETHERNET = 1
+MAX_SNAPLEN = 262144  # libpcap's cap; a header snaplen of 0 or above it means this
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_VLAN = (0x8100, 0x88A8)
@@ -126,9 +128,11 @@ def parse_capture(path) -> ParseResult:
         rest = fh.read(20)
         if len(rest) < 20:
             raise TruncatedHeader(f"{path}: global header shorter than 24 bytes")
-        _vmaj, _vmin, _zone, _sigfigs, _snaplen, network = struct.unpack(endian + "HHiIII", rest)
+        _vmaj, _vmin, _zone, _sigfigs, snaplen, network = struct.unpack(endian + "HHiIII", rest)
         if network != LINKTYPE_ETHERNET:
             raise BadMagic(f"{path}: unsupported link type {network} (only Ethernet is read)")
+        if snaplen == 0 or snaplen > MAX_SNAPLEN:
+            snaplen = MAX_SNAPLEN
 
         result = ParseResult()
         rec_hdr = struct.Struct(endian + "IIII")
@@ -139,6 +143,10 @@ def parse_capture(path) -> ParseResult:
             if len(hdr) < 16:
                 raise TruncatedHeader(f"{path}: record header truncated at packet {len(result.packets)}")
             ts_sec, ts_frac, incl_len, _orig_len = rec_hdr.unpack(hdr)
+            if incl_len > snaplen:
+                raise CountMismatch(
+                    f"{path}: packet {len(result.packets)} declares {incl_len} bytes, above snaplen {snaplen}"
+                )
             data = fh.read(incl_len)
             if len(data) < incl_len:
                 raise TruncatedHeader(f"{path}: record data truncated (declared {incl_len}, got {len(data)})")
@@ -265,10 +273,10 @@ def label_packets(
     class_ids = {name: i for i, name in enumerate(class_names)}
 
     report = UnmatchedReport()
-    result = SampleSet(class_names=class_names)
-    for packet in packets:
-        features = extract_payload_features(packet)
-        if features is None:
+    matched: list[int] = []
+    labels: list[int] = []
+    for n, packet in enumerate(packets):
+        if not packet.payload:
             report.empty_payload += 1
             continue
         key = _endpoint_key(packet.src_ip, packet.src_port, packet.dst_ip, packet.dst_port, packet.protocol)
@@ -282,28 +290,38 @@ def label_packets(
         pool = in_window if in_window else candidates
         _, best = min(pool, key=lambda item: (item[1].start_time, item[0]))
         report.matched += 1
-        result.samples.append(LabeledSample(features=features, label=class_ids[best.label]))
-    return result, report
+        matched.append(n)
+        labels.append(class_ids[best.label])
+    # payloads go straight into the records; stacking per-row arrays would
+    # hold every payload twice at the peak
+    samples = np.recarray(len(matched), dtype=RECORD_DTYPE)
+    samples.label = labels
+    samples.cluster = NO_CLUSTER
+    features = samples.features
+    for row, n in enumerate(matched):
+        features[row] = extract_payload_features(packets[n])
+    return SampleSet(class_names=class_names, samples=samples), report
 
 
-def deduplicate(samples: Sequence[LabeledSample]) -> list[LabeledSample]:
+_DEDUP_CHUNK = 1024  # rows compared per step, bounding the temporaries
+
+
+def deduplicate(samples: np.recarray) -> np.recarray:
     """Keep the first occurrence of each distinct (features, label) pair."""
-    seen: set[tuple[bytes, int]] = set()
-    out: list[LabeledSample] = []
-    for s in samples:
-        key = (s.features.tobytes(), s.label)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(s)
-    return out
+    records = np.ascontiguousarray(samples)
+    # Sorting whole records by their bytes puts all rows that share the
+    # (features, label) prefix into one run, whatever their cluster ids.
+    order = np.argsort(records.view(f"V{RECORD_DTYPE.itemsize}"))
+    prefix = records.view(np.uint8).reshape(len(records), -1)[:, : FEATURE_LEN + 2]
+    run_starts = np.ones(len(order), dtype=bool)
+    for lo in range(1, len(order), _DEDUP_CHUNK):
+        hi = min(lo + _DEDUP_CHUNK, len(order))
+        run_starts[lo:hi] = np.any(prefix[order[lo:hi]] != prefix[order[lo - 1 : hi - 1]], axis=1)
+    first = np.minimum.reduceat(order, np.flatnonzero(run_starts)) if len(order) else order
+    return samples[np.sort(first)]
 
 
-def undersample_benign(
-    samples: Sequence[LabeledSample],
-    target_ratio: float,
-    seed: int,
-) -> list[LabeledSample]:
+def undersample_benign(samples: np.recarray, target_ratio: float, seed: int) -> np.recarray:
     """Subsample benign records so |benign| <= ratio * |attacks|.
 
     Selection is uniform without replacement from the seeded generator;
@@ -312,18 +330,18 @@ def undersample_benign(
     if target_ratio <= 0:
         raise ValueOutOfRange(f"target ratio must be > 0, got {target_ratio}")
     if math.isinf(target_ratio):
-        return list(samples)
-    benign_idx = [i for i, s in enumerate(samples) if s.label == BENIGN_CLASS_ID]
+        return samples
+    keep = samples.label != BENIGN_CLASS_ID
+    benign_idx = np.flatnonzero(~keep)
     n_attacks = len(samples) - len(benign_idx)
     if n_attacks == 0:
         raise NoAttackSamples("cannot undersample: no attack samples present")
     cap = int(target_ratio * n_attacks + 1e-9)  # guard fp dust in ratio * count
     if len(benign_idx) <= cap:
-        return list(samples)
+        return samples
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(benign_idx), size=cap, replace=False)
-    keep = {benign_idx[i] for i in chosen}
-    return [s for i, s in enumerate(samples) if s.label != BENIGN_CLASS_ID or i in keep]
+    keep[benign_idx[rng.choice(len(benign_idx), size=cap, replace=False)]] = True
+    return samples[keep]
 
 
 def _parse_time(value: str) -> float:

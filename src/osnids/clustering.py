@@ -26,7 +26,7 @@ from .errors import (
     SingleCluster,
     TooFewPoints,
 )
-from .samples import BENIGN_CLASS_ID, LabeledSample
+from .samples import BENIGN_CLASS_ID
 
 _EPS = 1e-12
 
@@ -347,15 +347,16 @@ def select_cluster_count(
     )
 
 
-def annotate_clusters(samples: Sequence[LabeledSample], assignments) -> list[LabeledSample]:
-    """Attach cluster ids to a benign sample sequence, positionally."""
+def annotate_clusters(samples: np.recarray, assignments) -> np.recarray:
+    """A copy of the benign records with cluster ids attached, positionally."""
     assignments = np.asarray(assignments, dtype=np.int64)
     if len(samples) != assignments.shape[0]:
         raise LengthMismatch(f"{len(samples)} samples vs {assignments.shape[0]} assignments")
-    for s in samples:
-        if s.label != BENIGN_CLASS_ID:
-            raise NonBenignSample("cluster ids may only be assigned to benign samples")
-    return [s.with_cluster(int(a)) for s, a in zip(samples, assignments)]
+    if np.any(samples.label != BENIGN_CLASS_ID):
+        raise NonBenignSample("cluster ids may only be assigned to benign samples")
+    out = samples.copy()
+    out.cluster = assignments
+    return out
 
 
 def report_to_csv(report: ClusteringReport, path) -> None:

@@ -54,6 +54,10 @@ class ManifestInvalid(IoError):
     pass
 
 
+class BadEncoding(IoError):
+    pass
+
+
 # --- data validation errors (exit 3) ---
 
 

@@ -16,14 +16,7 @@ import numpy as np
 from .errors import EmptyDataset, InvalidRange, SeparationUnsatisfiable
 from .learners import BaseEnsemble
 from .meta import MetaEnsemble, UNKNOWN_ATTACK, Verdict, predict_batch
-from .samples import (
-    BENIGN_CLASS_ID,
-    BENIGN_CLASS_NAME,
-    FEATURE_LEN,
-    LabeledSample,
-    SampleSet,
-    byte_matrix,
-)
+from .samples import BENIGN_CLASS_ID, BENIGN_CLASS_NAME, FEATURE_LEN, SampleSet, make_records
 
 
 @dataclass
@@ -78,38 +71,32 @@ class EvalReport:
 
 
 def _report_from_predictions(
-    samples: Sequence[LabeledSample],
-    is_attack_pred: Sequence[bool],
+    samples: np.recarray,
+    is_attack_pred,
     class_names: Sequence[str],
 ) -> EvalReport:
-    tp = tn = fp = fn = 0
-    per_class_hits: dict[str, list[int]] = {}
-    for sample, predicted_attack in zip(samples, is_attack_pred):
-        actual_attack = sample.label != BENIGN_CLASS_ID
-        if actual_attack:
-            if predicted_attack:
-                tp += 1
-            else:
-                fn += 1
-            per_class_hits.setdefault(class_names[sample.label], []).append(int(predicted_attack))
-        else:
-            if predicted_attack:
-                fp += 1
-            else:
-                tn += 1
-            per_class_hits.setdefault(class_names[sample.label], []).append(int(not predicted_attack))
-    per_class = {name: (sum(hits) / len(hits) if hits else None) for name, hits in per_class_hits.items()}
-    return EvalReport(tp=tp, tn=tn, fp=fp, fn=fn, per_class=per_class)
+    predicted = np.asarray(is_attack_pred, dtype=bool)
+    actual = samples.label != BENIGN_CLASS_ID
+    totals = np.bincount(samples.label, minlength=len(class_names))
+    hits = np.bincount(samples.label, weights=predicted == actual, minlength=len(class_names))
+    per_class = {class_names[c]: int(hits[c]) / int(totals[c]) for c in np.flatnonzero(totals)}
+    return EvalReport(
+        tp=int(np.sum(actual & predicted)),
+        tn=int(np.sum(~actual & ~predicted)),
+        fp=int(np.sum(~actual & predicted)),
+        fn=int(np.sum(actual & ~predicted)),
+        per_class=per_class,
+    )
 
 
 def evaluate(
     base: BaseEnsemble,
     meta: MetaEnsemble,
-    d3: Sequence[LabeledSample],
+    d3: np.recarray,
     class_names: Sequence[str],
 ) -> tuple[EvalReport, list[Verdict], np.ndarray]:
     """Confusion counts plus per-true-class detection rates over D3."""
-    if not d3:
+    if len(d3) == 0:
         raise EmptyDataset("evaluation dataset is empty")
     verdicts, mf = predict_batch(base, meta, d3)
     preds = [v.decision == UNKNOWN_ATTACK for v in verdicts]
@@ -173,17 +160,16 @@ def _draw_templates(rng: np.random.Generator, count: int, existing: list[np.ndar
     return out
 
 
-def _noisy_samples(rng, template, count, sigma, label, cluster_id=None):
+def _noisy_rows(rng, template, count, sigma) -> np.ndarray:
+    """(count, 1500) noisy copies of a template; all-zero draws are redrawn."""
     base = template.astype(np.float64)
-    samples = []
-    for _ in range(count):
+    rows = np.empty((count, FEATURE_LEN), dtype=np.uint8)
+    for i in range(count):
         while True:
-            noisy = np.clip(np.rint(base + rng.normal(0.0, sigma, size=FEATURE_LEN)), 0, 255)
-            vec = noisy.astype(np.uint8)
-            if vec.any():
+            rows[i] = np.clip(np.rint(base + rng.normal(0.0, sigma, size=FEATURE_LEN)), 0, 255)
+            if rows[i].any():
                 break
-        samples.append(LabeledSample(features=vec, label=label, cluster_id=cluster_id))
-    return samples
+    return rows
 
 
 def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
@@ -204,18 +190,11 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
     unknown_names = [f"unknown_attack_{i}" for i in range(config.n_unknown_attack_classes)]
     class_names = [BENIGN_CLASS_NAME] + known_names + unknown_names
 
-    samples: list[LabeledSample] = []
-    for tpl in benign:
-        samples.extend(
-            _noisy_samples(rng, tpl, config.samples_per_class, config.noise_sigma, BENIGN_CLASS_ID)
-        )
-    for i, tpl in enumerate(known):
-        samples.extend(_noisy_samples(rng, tpl, config.samples_per_class, config.noise_sigma, 1 + i))
-    offset = 1 + config.n_known_attack_classes
-    for i, tpl in enumerate(unknown):
-        samples.extend(
-            _noisy_samples(rng, tpl, config.samples_per_class, config.noise_sigma, offset + i)
-        )
+    # benign templates, then known, then unknown: class ids 0, 0, ..., 1, 2, ...
+    templates = benign + known + unknown
+    template_labels = [BENIGN_CLASS_ID] * len(benign) + list(range(1, len(known) + len(unknown) + 1))
+    rows = [_noisy_rows(rng, tpl, config.samples_per_class, config.noise_sigma) for tpl in templates]
+    samples = make_records(np.concatenate(rows), np.repeat(template_labels, config.samples_per_class))
 
     return SyntheticCorpus(
         sample_set=SampleSet(class_names=class_names, samples=samples),
@@ -230,8 +209,8 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticCorpus:
 
 
 def naive_baseline(
-    d1: Sequence[LabeledSample],
-    d3: Sequence[LabeledSample],
+    d1: np.recarray,
+    d3: np.recarray,
     class_names: Sequence[str],
     threshold_quantile: float = 0.99,
 ) -> EvalReport:
@@ -241,16 +220,15 @@ def naive_baseline(
     otherwise); the threshold is the given quantile of D1's own
     nearest-centroid distances.
     """
-    if not d1 or not d3:
+    if len(d1) == 0 or len(d3) == 0:
         raise EmptyDataset("baseline needs non-empty d1 and d3")
     if not (0.0 <= threshold_quantile <= 1.0):
         raise InvalidRange(f"quantile must lie in [0, 1], got {threshold_quantile}")
 
-    X1 = byte_matrix(d1).astype(np.float64)
-    cluster_ids = [s.cluster_id for s in d1]
-    if all(c is not None for c in cluster_ids):
-        ids = sorted(set(cluster_ids))
-        centroids = np.stack([X1[[c == i for c in cluster_ids]].mean(axis=0) for i in ids])
+    X1 = d1.features.astype(np.float64)
+    cluster_ids = d1.cluster
+    if np.all(cluster_ids >= 0):
+        centroids = np.stack([X1[cluster_ids == i].mean(axis=0) for i in np.unique(cluster_ids)])
     else:
         centroids = X1.mean(axis=0, keepdims=True)
 
@@ -261,6 +239,5 @@ def naive_baseline(
         return np.sqrt(np.maximum(d2.min(axis=1), 0.0))
 
     threshold = float(np.quantile(nearest(X1), threshold_quantile))
-    dists = nearest(byte_matrix(d3).astype(np.float64))
-    preds = [bool(d > threshold) for d in dists]
+    preds = nearest(d3.features.astype(np.float64)) > threshold
     return _report_from_predictions(d3, preds, class_names)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from .errors import (
     NonFiniteLoss,
     UntrainedEnsemble,
 )
-from .features import IMAGE_SHAPE, normalize, to_rgb_image
-from .samples import LabeledSample
+from .features import IMAGE_SHAPE
 
 LOGISTIC = "logistic"
 CONVNET = "convnet"
@@ -263,12 +262,14 @@ _KIND_FNS = {
 
 
 def _prepare_inputs(kind: str, tensors: np.ndarray) -> np.ndarray:
-    return tensors.reshape(tensors.shape[0], -1) if kind == LOGISTIC else tensors
+    return tensors.reshape(tensors.shape[0], _INPUT_DIM) if kind == LOGISTIC else tensors
 
 
-def sample_tensors(samples: Sequence[LabeledSample]) -> np.ndarray:
-    """Stack samples into (n, 20, 25, 3) normalized float tensors."""
-    return np.stack([normalize(to_rgb_image(s.features)) for s in samples])
+def sample_tensors(samples: np.recarray) -> np.ndarray:
+    """The records' payloads as (n, 20, 25, 3) float tensors scaled by 1/255."""
+    tensors = samples.features.reshape(len(samples), *IMAGE_SHAPE).astype(np.float64)
+    tensors /= 255.0
+    return tensors
 
 
 def train_scorer(
@@ -318,35 +319,18 @@ def train_scorer(
     )
 
 
-def train_base_learner(
-    d1: Sequence[LabeledSample],
-    cluster_id: int,
-    config: Optional[TrainingConfig] = None,
-    kind: str = LOGISTIC,
-) -> BinaryScorer:
-    """Train one cluster-vs-rest-of-benign scorer on clustered D1 samples."""
-    y = np.array([1.0 if s.cluster_id == cluster_id else 0.0 for s in d1])
-    n_pos = int(y.sum())
-    n_neg = len(d1) - n_pos
-    if n_pos < 10 or n_neg < 10:
-        raise DegenerateClasses(
-            f"cluster {cluster_id}: need >= 10 samples on each side, got {n_pos} vs {n_neg}"
-        )
-    return train_scorer(sample_tensors(d1), y, kind=kind, config=config)
-
-
 def train_base_ensemble(
-    d1: Sequence[LabeledSample],
+    d1: np.recarray,
     n: int,
     config: Optional[TrainingConfig] = None,
     kind: str = LOGISTIC,
     threads: int = 1,
 ) -> BaseEnsemble:
-    """Train the N independent scorers; ordering follows cluster ids."""
-    present = {s.cluster_id for s in d1}
-    expected = set(range(n))
-    if present != expected:
-        raise MissingCluster(f"cluster ids {sorted(present, key=str)} do not cover 0..{n - 1}")
+    """Train the N cluster-vs-rest-of-benign scorers on clustered D1
+    records; ordering follows cluster ids."""
+    present = np.unique(d1.cluster)
+    if not np.array_equal(present, np.arange(n)):
+        raise MissingCluster(f"cluster ids {present.tolist()} do not cover 0..{n - 1}")
 
     base = config or TrainingConfig.for_kind(kind)
     # per-cluster seeds fixed up front so threading cannot change results
@@ -356,7 +340,7 @@ def train_base_ensemble(
         for i in range(n)
     ]
     tensors = sample_tensors(d1)
-    ys = [np.array([1.0 if s.cluster_id == i else 0.0 for s in d1]) for i in range(n)]
+    ys = [(d1.cluster == i).astype(np.float64) for i in range(n)]
     for i in range(n):
         n_pos = int(ys[i].sum())
         if n_pos < 10 or len(d1) - n_pos < 10:
@@ -370,31 +354,16 @@ def train_base_ensemble(
     return BaseEnsemble(scorers=scorers, n_clusters=n)
 
 
-def score(scorer: BinaryScorer, tensor: np.ndarray) -> float:
-    """Membership probability of one normalized (20, 25, 3) tensor."""
-    tensor = np.asarray(tensor, dtype=np.float64)
-    if tensor.shape != tuple(scorer.input_geometry):
-        raise GeometryMismatch(f"expected {scorer.input_geometry}, got {tensor.shape}")
-    _, _, scores_fn = _KIND_FNS[scorer.kind]
-    X = _prepare_inputs(scorer.kind, tensor[None, ...])
-    return float(scores_fn(scorer.params, X)[0])
-
-
-def meta_features(ensemble: BaseEnsemble, sample: LabeledSample) -> np.ndarray:
-    """The sample's N membership probabilities, in cluster order."""
-    if not ensemble.scorers:
-        raise UntrainedEnsemble("base ensemble has no trained scorers")
-    tensor = normalize(to_rgb_image(sample.features))
-    return np.array([score(s, tensor) for s in ensemble.scorers])
-
-
-def meta_feature_matrix(ensemble: BaseEnsemble, samples: Sequence[LabeledSample]) -> np.ndarray:
-    """Vectorized meta-features for a whole sample sequence: (n, N)."""
+def meta_feature_matrix(ensemble: BaseEnsemble, samples: np.recarray) -> np.ndarray:
+    """The records' N membership probabilities, in cluster order: (n, N).
+    A single sample is a one-row slice."""
     if not ensemble.scorers:
         raise UntrainedEnsemble("base ensemble has no trained scorers")
     tensors = sample_tensors(samples)
     cols = []
     for scorer in ensemble.scorers:
+        if tuple(scorer.input_geometry) != tensors.shape[1:]:
+            raise GeometryMismatch(f"scorer expects {scorer.input_geometry}, inputs are {tensors.shape[1:]}")
         _, _, scores_fn = _KIND_FNS[scorer.kind]
         cols.append(scores_fn(scorer.params, _prepare_inputs(scorer.kind, tensors)))
     return np.stack(cols, axis=1)

@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import LengthMismatch, SingleClassLabels, UntrainedModel, WrongArity
-from .learners import BaseEnsemble, meta_feature_matrix, meta_features
-from .samples import LabeledSample
+from .learners import BaseEnsemble, meta_feature_matrix
 from .trees import GradientBoostedTrees, RandomForest
 
 BENIGN = "benign"
@@ -173,18 +172,11 @@ def vote(outputs: Sequence[int]) -> Verdict:
     return Verdict(decision=decision, v=v, outputs=bits)
 
 
-def predict(base: BaseEnsemble, meta: MetaEnsemble, sample: LabeledSample) -> Verdict:
-    """Full pipeline verdict for one sample."""
-    if not base.scorers or not meta.classifiers:
-        raise UntrainedModel("both base and meta ensembles must be trained")
-    mf = meta_features(base, sample)
-    return vote(classifier_outputs(meta, mf)[0])
-
-
 def predict_batch(
-    base: BaseEnsemble, meta: MetaEnsemble, samples: Sequence[LabeledSample]
+    base: BaseEnsemble, meta: MetaEnsemble, samples: np.recarray
 ) -> tuple[list[Verdict], np.ndarray]:
-    """Verdicts for a sample sequence, plus the meta-feature matrix."""
+    """Verdicts for a record array, plus the meta-feature matrix. A single
+    sample is a one-row slice."""
     if not base.scorers or not meta.classifiers:
         raise UntrainedModel("both base and meta ensembles must be trained")
     mf = meta_feature_matrix(base, samples)

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    BadEncoding,
     BadMagic,
     ChecksumMismatch,
     CountMismatch,
@@ -27,38 +28,34 @@ from .errors import (
 from .features import IMAGE_SHAPE
 from .learners import BaseEnsemble, BinaryScorer, CONVNET, LOGISTIC
 from .meta import META_FAMILIES, LogisticMetaClassifier, MetaEnsemble
-from .samples import FEATURE_LEN, LabeledSample, SampleSet
+from .samples import RECORD_DTYPE, SampleSet
 from .trees import GradientBoostedTrees, RandomForest, TreeNodes
 
 SAMPLESET_MAGIC = b"OSNIDS1"
 SAMPLESET_VERSION = 1
 BUNDLE_FORMAT_VERSION = 1
 
-_RECORD = struct.Struct(f"<{FEATURE_LEN}sHh")
-
 
 # --- sample sets ---
 
 
 def save_sample_set(sample_set: SampleSet, path) -> None:
+    header = SAMPLESET_MAGIC + struct.pack("<HH", SAMPLESET_VERSION, len(sample_set.class_names))
+    for name in sample_set.class_names:
+        raw = name.encode("utf-8")
+        header += struct.pack("<H", len(raw)) + raw
+    header += struct.pack("<Q", len(sample_set.samples))
     try:
         with open(path, "wb") as fh:
-            fh.write(SAMPLESET_MAGIC)
-            fh.write(struct.pack("<H", SAMPLESET_VERSION))
-            fh.write(struct.pack("<H", len(sample_set.class_names)))
-            for name in sample_set.class_names:
-                raw = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-            fh.write(struct.pack("<Q", len(sample_set.samples)))
-            for s in sample_set.samples:
-                cluster = -1 if s.cluster_id is None else s.cluster_id
-                fh.write(_RECORD.pack(s.features.tobytes(), s.label, cluster))
+            fh.write(header)
+            fh.write(sample_set.samples.tobytes())
     except OSError as exc:
         raise IoFailure(f"cannot write sample set {path}: {exc}") from exc
 
 
 def load_sample_set(path) -> SampleSet:
+    """Parse the header, then view the records as one read-only record
+    array over the file bytes."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -83,30 +80,23 @@ def load_sample_set(path) -> SampleSet:
         raise VersionUnsupported(f"{path}: sample-set version {version} unsupported")
     (n_classes,) = take("<H")
     class_names = []
-    for _ in range(n_classes):
+    for i in range(n_classes):
         (name_len,) = take("<H")
         if pos + name_len > len(blob):
             raise CountMismatch(f"{path}: class table truncated")
-        class_names.append(blob[pos : pos + name_len].decode("utf-8"))
+        try:
+            class_names.append(blob[pos : pos + name_len].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise BadEncoding(f"{path}: class name {i} is not valid UTF-8") from exc
         pos += name_len
     (count,) = take("<Q")
 
-    expected = pos + count * _RECORD.size
+    expected = pos + count * RECORD_DTYPE.itemsize
     if len(blob) != expected:
         raise CountMismatch(
             f"{path}: declared {count} records ({expected} bytes), file has {len(blob)} bytes"
         )
-    samples = []
-    for _ in range(count):
-        raw, label, cluster = _RECORD.unpack_from(blob, pos)
-        pos += _RECORD.size
-        samples.append(
-            LabeledSample(
-                features=np.frombuffer(raw, dtype=np.uint8).copy(),
-                label=label,
-                cluster_id=None if cluster < 0 else cluster,
-            )
-        )
+    samples = np.frombuffer(blob, dtype=RECORD_DTYPE, count=count, offset=pos)
     return SampleSet(class_names=class_names, samples=samples)
 
 
@@ -322,6 +312,8 @@ def load_bundle(path) -> tuple[BaseEnsemble, Optional[MetaEnsemble]]:
         raise IoFailure(f"cannot read bundle manifest {manifest_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ManifestInvalid(f"{manifest_path}: not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ManifestInvalid(f"{manifest_path}: manifest must be a JSON object")
 
     version = manifest.get("format_version")
     if version != BUNDLE_FORMAT_VERSION:
@@ -352,9 +344,12 @@ def load_bundle(path) -> tuple[BaseEnsemble, Optional[MetaEnsemble]]:
         if not file_path.exists():
             raise ManifestInvalid(f"bundle missing meta file {name}")
         classifiers.append(_decode_meta_classifier(family, _read_payload(file_path)))
+    seeds = manifest.get("seeds", {})
+    if not isinstance(seeds, dict):
+        raise ManifestInvalid(f"manifest seeds must be an object, got {seeds!r}")
     meta = MetaEnsemble(
         classifiers=classifiers,
         holdout_accuracy=manifest.get("meta_holdout_accuracy", {}),
-        seed=manifest.get("seeds", {}).get("meta") or 0,
+        seed=seeds.get("meta") or 0,
     )
     return base, meta

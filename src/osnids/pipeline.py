@@ -15,7 +15,7 @@ import numpy as np
 from . import capture, clustering, evaluation, learners, meta, persistence, splits
 from .config import require
 from .errors import ConfigError, UntrainedModel
-from .samples import BENIGN_CLASS_ID, SampleSet, unit_matrix
+from .samples import BENIGN_CLASS_ID, SampleSet
 
 log = logging.getLogger("osnids")
 
@@ -144,7 +144,7 @@ def stage_cluster(cfg: dict) -> clustering.ClusteringReport:
         learning_rate=float(require(cfg, "cluster.learning_rate")),
         seed=_seed(cfg),
     )
-    embedding = clustering.tsne_embed(unit_matrix(d1.samples), params)
+    embedding = clustering.tsne_embed(d1.samples.features.astype(np.float64) / 255.0, params)
     report = clustering.select_cluster_count(
         embedding,
         k_min=int(require(cfg, "cluster.k_min")),
@@ -186,7 +186,7 @@ def stage_train_meta(cfg: dict) -> meta.MetaEnsemble:
     base, _ = persistence.load_bundle(wd / BUNDLE_DIR)
     d2 = persistence.load_sample_set(wd / D2)
     features = learners.meta_feature_matrix(base, d2.samples)
-    labels = np.array([0.0 if s.label == BENIGN_CLASS_ID else 1.0 for s in d2.samples])
+    labels = (d2.samples.label != BENIGN_CLASS_ID).astype(np.float64)
     config = meta.MetaConfig(
         forest_trees=int(require(cfg, "meta.forest_trees")),
         forest_depth=int(require(cfg, "meta.forest_depth")),

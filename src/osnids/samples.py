@@ -1,9 +1,13 @@
-"""Core sample records shared by every pipeline stage."""
+"""The labeled corpus shared by every pipeline stage: one record array.
+
+Each record is exactly one `.sset` record: 1500 payload bytes, a u16 class
+label and an i16 benign cluster id (-1 = no cluster). Stages select, stack
+and score whole columns; nothing is re-stacked per packet.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,65 +16,56 @@ from .errors import ValueOutOfRange, WrongLength
 FEATURE_LEN = 1500
 BENIGN_CLASS_ID = 0
 BENIGN_CLASS_NAME = "benign"
+NO_CLUSTER = -1
+
+RECORD_DTYPE = np.dtype([("features", "u1", (FEATURE_LEN,)), ("label", "<u2"), ("cluster", "<i2")])
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledSample:
-    """One packet's payload bytes plus its class label.
-
-    `cluster_id` is set only for benign samples, and only after the
-    benign clustering stage has run.
-    """
-
-    features: np.ndarray  # uint8, shape (1500,)
-    label: int
-    cluster_id: Optional[int] = None
-
-    def __post_init__(self):
-        feats = np.asarray(self.features)
-        if feats.shape != (FEATURE_LEN,):
-            raise WrongLength(f"feature vector must have {FEATURE_LEN} entries, got {feats.shape}")
-        if feats.dtype != np.uint8:
-            if not np.issubdtype(feats.dtype, np.integer):
-                raise ValueOutOfRange("feature values must be integers")
-            if feats.min() < 0 or feats.max() > 255:
-                raise ValueOutOfRange("feature values must lie in [0, 255]")
-            feats = feats.astype(np.uint8)
-        if not feats.any():
-            raise ValueOutOfRange("all-zero feature vectors are filtered out upstream")
-        if self.cluster_id is not None and self.label != BENIGN_CLASS_ID:
-            raise ValueOutOfRange("cluster ids are only assigned to benign samples")
-        object.__setattr__(self, "features", feats)
-
-    def __eq__(self, other):
-        if not isinstance(other, LabeledSample):
-            return NotImplemented
-        return (
-            self.label == other.label
-            and self.cluster_id == other.cluster_id
-            and np.array_equal(self.features, other.features)
-        )
-
-    def with_cluster(self, cluster_id: int) -> "LabeledSample":
-        return replace(self, cluster_id=int(cluster_id))
+def make_records(features, labels, cluster=NO_CLUSTER) -> np.recarray:
+    """Record array from an (n, 1500) byte matrix, n labels and cluster ids
+    (one id for all rows, or one per row)."""
+    feats = np.asarray(features)
+    if feats.ndim != 2 or feats.shape[1] != FEATURE_LEN:
+        raise WrongLength(f"feature matrix must be (n, {FEATURE_LEN}), got {feats.shape}")
+    if feats.dtype != np.uint8:
+        if not np.issubdtype(feats.dtype, np.integer):
+            raise ValueOutOfRange("feature values must be integers")
+        if feats.size and (feats.min() < 0 or feats.max() > 255):
+            raise ValueOutOfRange("feature values must lie in [0, 255]")
+    out = np.recarray(feats.shape[0], dtype=RECORD_DTYPE)
+    out.features = feats
+    out.label = labels
+    out.cluster = cluster
+    return out
 
 
 @dataclass(eq=False)
 class SampleSet:
-    """A labeled corpus: class-name table plus the sample records.
+    """A labeled corpus: class-name table plus a `RECORD_DTYPE` record array.
 
-    Class id 0 is always the benign class.
+    Class id 0 is always the benign class. Construction validates every
+    row: no all-zero payloads, labels inside the class table, and cluster
+    ids on benign rows only.
     """
 
     class_names: list[str]
-    samples: list[LabeledSample] = field(default_factory=list)
+    samples: np.recarray = field(default_factory=lambda: np.recarray(0, dtype=RECORD_DTYPE))
 
     def __post_init__(self):
         if not self.class_names:
             raise WrongLength("class-name table must not be empty")
-        for s in self.samples:
-            if s.label >= len(self.class_names):
-                raise ValueOutOfRange(f"class id {s.label} outside class table of size {len(self.class_names)}")
+        samples = np.asarray(self.samples)
+        if samples.dtype != RECORD_DTYPE or samples.ndim != 1:
+            raise WrongLength(f"samples must be a 1-D array of {RECORD_DTYPE}, got {samples.dtype}")
+        samples = samples.view(np.recarray)
+        if not samples.features.any(axis=1).all():
+            raise ValueOutOfRange("all-zero feature vectors are filtered out upstream")
+        if np.any(samples.label >= len(self.class_names)):
+            bad = int(samples.label.max())
+            raise ValueOutOfRange(f"class id {bad} outside class table of size {len(self.class_names)}")
+        if np.any((samples.cluster >= 0) & (samples.label != BENIGN_CLASS_ID)):
+            raise ValueOutOfRange("cluster ids are only assigned to benign samples")
+        self.samples = samples
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -78,36 +73,11 @@ class SampleSet:
     def __eq__(self, other):
         if not isinstance(other, SampleSet):
             return NotImplemented
-        return self.class_names == other.class_names and self.samples == other.samples
+        return self.class_names == other.class_names and self.samples.tobytes() == other.samples.tobytes()
 
     def name_of(self, label: int) -> str:
         return self.class_names[label]
 
-    def benign(self) -> list[LabeledSample]:
-        return [s for s in self.samples if s.label == BENIGN_CLASS_ID]
-
-    def attacks(self) -> list[LabeledSample]:
-        return [s for s in self.samples if s.label != BENIGN_CLASS_ID]
-
     def class_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for s in self.samples:
-            name = self.class_names[s.label]
-            counts[name] = counts.get(name, 0) + 1
-        return counts
-
-
-def byte_matrix(samples: Sequence[LabeledSample]) -> np.ndarray:
-    """Stack feature vectors into an (n, 1500) uint8 matrix."""
-    if not samples:
-        return np.zeros((0, FEATURE_LEN), dtype=np.uint8)
-    return np.stack([s.features for s in samples])
-
-
-def unit_matrix(samples: Sequence[LabeledSample]) -> np.ndarray:
-    """Stack feature vectors scaled to [0, 1] as float64."""
-    return byte_matrix(samples).astype(np.float64) / 255.0
-
-
-def labels_of(samples: Iterable[LabeledSample]) -> np.ndarray:
-    return np.array([s.label for s in samples], dtype=np.int64)
+        counts = np.bincount(self.samples.label, minlength=len(self.class_names))
+        return {name: int(c) for name, c in zip(self.class_names, counts) if c}

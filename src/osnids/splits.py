@@ -14,7 +14,7 @@ from .errors import (
     NoKnownAttacks,
     UnknownHeldoutClass,
 )
-from .samples import BENIGN_CLASS_ID, LabeledSample, SampleSet
+from .samples import BENIGN_CLASS_ID, SampleSet
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,9 @@ class SplitSpec:
 
 @dataclass
 class SplitResult:
-    d1: list[LabeledSample]
-    d2: list[LabeledSample]
-    d3: list[LabeledSample]
+    d1: np.recarray
+    d2: np.recarray
+    d3: np.recarray
     class_names: list[str]
     manifest: list[tuple[str, str, int]] = field(default_factory=list)  # (split, class, count)
 
@@ -52,14 +52,17 @@ def build_splits(sample_set: SampleSet, spec: SplitSpec) -> SplitResult:
         raise UnknownHeldoutClass(f"held-out classes absent from data: {', '.join(sorted(unknown_names))}")
     if names[BENIGN_CLASS_ID] in spec.heldout_classes:
         raise InvalidRange("the benign class cannot be held out")
-    heldout_ids = {names.index(c) for c in spec.heldout_classes}
+    heldout_ids = [names.index(c) for c in spec.heldout_classes]
 
-    benign = [s for s in sample_set.samples if s.label == BENIGN_CLASS_ID]
-    known = [s for s in sample_set.samples if s.label != BENIGN_CLASS_ID and s.label not in heldout_ids]
-    heldout = [s for s in sample_set.samples if s.label in heldout_ids]
-    if not benign:
+    samples = sample_set.samples
+    is_benign = samples.label == BENIGN_CLASS_ID
+    is_heldout = np.isin(samples.label, heldout_ids)
+    benign = samples[is_benign]
+    known = samples[~is_benign & ~is_heldout]
+    heldout = samples[is_heldout]
+    if len(benign) == 0:
         raise EmptyBenign("no benign samples to split")
-    if not known:
+    if len(known) == 0:
         raise NoKnownAttacks("no non-held-out attack samples for the meta-learner split")
 
     rng = np.random.default_rng(spec.seed)
@@ -68,11 +71,12 @@ def build_splits(sample_set: SampleSet, spec: SplitSpec) -> SplitResult:
     # epsilon keeps e.g. (0.5 + 0.3) * n from flooring to 0.8n - 1
     cut1 = int(spec.benign_ratios[0] * n + 1e-9)
     cut2 = int((spec.benign_ratios[0] + spec.benign_ratios[1]) * n + 1e-9)
-    b1 = [benign[i] for i in order[:cut1]]
-    b2 = [benign[i] for i in order[cut1:cut2]]
-    b3 = [benign[i] for i in order[cut2:]]
-
-    result = SplitResult(d1=b1, d2=b2 + known, d3=b3 + heldout, class_names=list(names))
+    result = SplitResult(
+        d1=benign[order[:cut1]],
+        d2=np.concatenate([benign[order[cut1:cut2]], known]).view(np.recarray),
+        d3=np.concatenate([benign[order[cut2:]], heldout]).view(np.recarray),
+        class_names=list(names),
+    )
     result.manifest = split_manifest(result)
     return result
 
@@ -81,11 +85,8 @@ def split_manifest(result: SplitResult) -> list[tuple[str, str, int]]:
     """Sparse (split, class, count) table; classes absent from a split get no row."""
     rows: list[tuple[str, str, int]] = []
     for split_name, split in (("d1", result.d1), ("d2", result.d2), ("d3", result.d3)):
-        counts: dict[int, int] = {}
-        for s in split:
-            counts[s.label] = counts.get(s.label, 0) + 1
-        for label in sorted(counts):
-            rows.append((split_name, result.class_names[label], counts[label]))
+        labels, counts = np.unique(split.label, return_counts=True)
+        rows += [(split_name, result.class_names[label], int(c)) for label, c in zip(labels, counts)]
     return rows
 
 

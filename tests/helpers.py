@@ -68,9 +68,10 @@ def build_pcap(
     magic: int = PCAP_MAGIC_USEC,
     little_endian: bool = True,
     linktype: int = 1,
+    snaplen: int = 65535,
 ) -> bytes:
     endian = "<" if little_endian else ">"
-    out = struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, linktype)
+    out = struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, snaplen, linktype)
     frac_scale = 1_000_000 if magic == PCAP_MAGIC_USEC else 1_000_000_000
     for i, frame in enumerate(frames):
         ts = timestamps[i] if timestamps is not None else float(i)
@@ -82,6 +83,33 @@ def build_pcap(
 
 
 # --- brute-force oracles ---
+
+
+def sset_oracle(blob: bytes):
+    """Decode a `.sset` file record by record with `struct`, independently
+    of the loader. Returns (class_names, features list, labels, clusters)."""
+    assert blob[:7] == b"OSNIDS1"
+    version, n_classes = struct.unpack_from("<HH", blob, 7)
+    assert version == 1
+    pos = 11
+    names = []
+    for _ in range(n_classes):
+        (length,) = struct.unpack_from("<H", blob, pos)
+        names.append(blob[pos + 2 : pos + 2 + length].decode("utf-8"))
+        pos += 2 + length
+    (count,) = struct.unpack_from("<Q", blob, pos)
+    pos += 8
+    record = struct.Struct("<1500sHh")
+    features, labels, clusters = [], [], []
+    for _ in range(count):
+        raw, label, cluster = record.unpack_from(blob, pos)
+        pos += record.size
+        features.append(np.frombuffer(raw, dtype=np.uint8))
+        labels.append(label)
+        clusters.append(cluster)
+    assert pos == len(blob)
+    return names, features, labels, clusters
+
 
 
 def join_oracle(packets, flows, benign_label="BENIGN"):
@@ -113,16 +141,17 @@ def join_oracle(packets, flows, benign_label="BENIGN"):
 
 
 def dedup_oracle(samples):
-    """O(n^2) pairwise scan keeping first occurrences."""
+    """O(n^2) pairwise scan keeping first occurrences; returns row indices."""
     kept = []
-    for s in samples:
+    for i, s in enumerate(samples):
         duplicate = False
-        for t in kept:
+        for j in kept:
+            t = samples[j]
             if s.label == t.label and np.array_equal(s.features, t.features):
                 duplicate = True
                 break
         if not duplicate:
-            kept.append(s)
+            kept.append(i)
     return kept
 
 

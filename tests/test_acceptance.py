@@ -19,7 +19,7 @@ from osnids.meta import UNKNOWN_ATTACK, BENIGN, vote
 from osnids.persistence import load_sample_set
 from osnids import pipeline
 from osnids.splits import SplitSpec, build_splits
-from osnids.samples import LabeledSample, SampleSet
+from osnids.samples import SampleSet, make_records
 
 from helpers import (
     arp_frame,
@@ -146,19 +146,12 @@ def test_criterion_08_split_integrity():
     with _criterion(8, "split ratios exact and zero held-out leakage (10 seeds)", 5.0):
         rng = np.random.default_rng(808)
 
-        def sample(label):
-            vec = rng.integers(0, 256, 1500).astype(np.uint8)
-            vec[0] = max(int(vec[0]), 1)
-            return LabeledSample(features=vec, label=label)
-
         names = ["benign", "known_a", "known_b", "held_a", "held_b"]
         for n_benign in (1000, 137):
-            corpus = SampleSet(
-                class_names=names,
-                samples=[sample(0) for _ in range(n_benign)]
-                + [sample(1 + i % 2) for i in range(60)]
-                + [sample(3 + i % 2) for i in range(40)],
-            )
+            labels = [0] * n_benign + [1 + i % 2 for i in range(60)] + [3 + i % 2 for i in range(40)]
+            feats = rng.integers(0, 256, (len(labels), 1500)).astype(np.uint8)
+            feats[:, 0] = np.maximum(feats[:, 0], 1)
+            corpus = SampleSet(class_names=names, samples=make_records(feats, labels))
             for seed in range(10):
                 result = build_splits(
                     corpus, SplitSpec(heldout_classes=frozenset({"held_a", "held_b"}), seed=seed)
@@ -169,7 +162,7 @@ def test_criterion_08_split_integrity():
                 assert benign(result.d1) == cut1
                 assert benign(result.d2) == cut2 - cut1
                 assert benign(result.d3) == n_benign - cut2
-                assert not any(s.label in (3, 4) for s in result.d1 + result.d2)
+                assert not any(s.label in (3, 4) for part in (result.d1, result.d2) for s in part)
                 assert sum(1 for s in result.d3 if s.label in (3, 4)) == 40
 
 
@@ -207,16 +200,15 @@ def test_criterion_10_persistence_round_trips(tmp_path):
 
         rng = np.random.default_rng(1010)
 
-        def noisy(template, label, cluster_id=None):
+        def noisy(template):
             vec = np.clip(np.rint(template + rng.normal(0, 5, 1500)), 0, 255).astype(np.uint8)
             vec[0] = max(int(vec[0]), 1)
-            return LabeledSample(features=vec, label=label, cluster_id=cluster_id)
+            return vec
 
         templates = rng.integers(0, 256, (4, 1500))
-        benign = [noisy(templates[c], 0, c) for c in range(2) for _ in range(25)]
-        sample_set = SampleSet(class_names=["benign", "atk"], samples=[
-            LabeledSample(features=s.features, label=0) for s in benign
-        ])
+        benign_rows = np.stack([noisy(templates[c]) for c in range(2) for _ in range(25)])
+        benign = make_records(benign_rows, 0, np.repeat([0, 1], 25))
+        sample_set = SampleSet(class_names=["benign", "atk"], samples=make_records(benign_rows, 0))
         path = tmp_path / "corpus.sset"
         save_sample_set(sample_set, path)
         assert load_sample_set(path) == sample_set
@@ -224,21 +216,19 @@ def test_criterion_10_persistence_round_trips(tmp_path):
         assert (tmp_path / "again.sset").read_bytes() == path.read_bytes()
 
         base = train_base_ensemble(benign, 2, config=TrainingConfig(epochs=5, seed=0))
-        d2 = [LabeledSample(features=s.features, label=0) for s in benign]
-        d2 += [noisy(templates[c], 1) for c in (2, 3) for _ in range(25)]
+        attack_rows = np.stack([noisy(templates[c]) for c in (2, 3) for _ in range(25)])
+        d2 = make_records(np.concatenate([benign_rows, attack_rows]), [0] * 50 + [1] * 50)
         mf = meta_feature_matrix(base, d2)
-        labels = np.array([0.0 if s.label == 0 else 1.0 for s in d2])
+        labels = (d2.label != 0).astype(np.float64)
         meta_ens = train_meta_classifiers(
             mf, labels, config=MetaConfig(forest_trees=10, boost_rounds=10), seed=0
         )
 
         save_bundle(base, meta_ens, tmp_path / "bundle")
         base2, meta2 = load_bundle(tmp_path / "bundle")
-        probe = []
-        for _ in range(100):
-            vec = rng.integers(0, 256, 1500).astype(np.uint8)
-            vec[0] = max(int(vec[0]), 1)
-            probe.append(LabeledSample(features=vec, label=0))
+        probe_rows = rng.integers(0, 256, (100, 1500)).astype(np.uint8)
+        probe_rows[:, 0] = np.maximum(probe_rows[:, 0], 1)
+        probe = make_records(probe_rows, 0)
         v1, mf1 = predict_batch(base, meta_ens, probe)
         v2, mf2 = predict_batch(base2, meta2, probe)
         assert mf1.tobytes() == mf2.tobytes()

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,14 @@ from osnids.capture import (
 )
 from osnids.errors import (
     BadMagic,
+    CountMismatch,
     EmptyFlowTable,
     NoAttackSamples,
     TruncatedHeader,
     UnreadableFile,
     ValueOutOfRange,
 )
-from osnids.samples import BENIGN_CLASS_ID, LabeledSample
+from osnids.samples import BENIGN_CLASS_ID, make_records
 
 from helpers import PCAP_MAGIC_NSEC, arp_frame, build_pcap, dedup_oracle, ipv4_packet, join_oracle
 
@@ -79,6 +82,20 @@ class TestParseCapture:
         blob = build_pcap([frame])[:-3]
         with pytest.raises(TruncatedHeader):
             parse_capture(_write(tmp_path, blob))
+
+    @pytest.mark.parametrize("snaplen, declared", [(64, 200_000), (0, 262_145), (2**32 - 1, 262_145)])
+    def test_record_longer_than_snaplen_refused(self, tmp_path, snaplen, declared):
+        # only the record header is written; the declared body never exists
+        blob = build_pcap([], snaplen=snaplen) + struct.pack("<IIII", 0, 0, declared, declared)
+        with pytest.raises(CountMismatch):
+            parse_capture(_write(tmp_path, blob))
+
+    def test_record_at_snaplen_accepted(self, tmp_path):
+        frame = ipv4_packet("1.1.1.1", "2.2.2.2", 1, 2, "UDP", b"x" * 100)
+        assert len(parse_capture(_write(tmp_path, build_pcap([frame], snaplen=len(frame))))) == 1
+        assert len(parse_capture(_write(tmp_path, build_pcap([frame], snaplen=0), "zero.pcap"))) == 1
+        with pytest.raises(CountMismatch):
+            parse_capture(_write(tmp_path, build_pcap([frame], snaplen=len(frame) - 1), "short.pcap"))
 
     def test_big_endian_and_nanosecond_variants(self, tmp_path):
         frame = ipv4_packet("10.0.0.1", "10.0.0.2", 5, 6, "UDP", b"ab")
@@ -259,59 +276,65 @@ class TestLabelPackets:
         assert run() == run()
 
 
-def _sample(rng, label=0):
-    feats = rng.integers(0, 256, 1500, dtype=np.int64).astype(np.uint8)
-    feats[0] = max(int(feats[0]), 1)
-    return LabeledSample(features=feats, label=label)
+def _records(rng, labels):
+    feats = rng.integers(0, 256, (len(labels), 1500), dtype=np.int64).astype(np.uint8)
+    feats[:, 0] = np.maximum(feats[:, 0], 1)
+    return make_records(feats, labels)
+
+
+def _concat(*parts):
+    return np.concatenate(parts).view(np.recarray)
 
 
 class TestDeduplicate:
     def test_exact_duplicates_collapse(self):
         rng = np.random.default_rng(0)
-        s = _sample(rng)
-        dup = LabeledSample(features=s.features.copy(), label=s.label)
-        assert deduplicate([s, dup]) == [s]
+        s = _records(rng, [0])
+        assert deduplicate(_concat(s, s.copy())).tobytes() == s.tobytes()
 
     def test_same_features_different_labels_kept(self):
         rng = np.random.default_rng(1)
-        s = _sample(rng, label=0)
-        other = LabeledSample(features=s.features.copy(), label=1)
-        assert len(deduplicate([s, other])) == 2
+        s = _records(rng, [0])
+        other = s.copy()
+        other.label = 1
+        assert len(deduplicate(_concat(s, other))) == 2
 
     def test_first_occurrence_order(self):
         rng = np.random.default_rng(2)
-        a, b = _sample(rng), _sample(rng)
-        out = deduplicate([a, b, a, b, a])
-        assert out == [a, b]
+        ab = _records(rng, [0, 0])
+        out = deduplicate(ab[[0, 1, 0, 1, 0]])
+        assert out.tobytes() == ab.tobytes()
+
+    def test_cluster_id_is_not_part_of_the_key(self):
+        rng = np.random.default_rng(3)
+        ab = _records(rng, [0, 0])
+        mixed = ab[[0, 1, 0, 0]]
+        mixed.cluster = [-1, -1, 3, 1]
+        assert deduplicate(mixed).tobytes() == ab.tobytes()
 
     def test_planted_duplicates_match_oracle(self):
         rng = np.random.default_rng(4)
-        base = [_sample(rng, label=int(rng.integers(0, 3))) for _ in range(900)]
-        planted = [
-            LabeledSample(features=base[i].features.copy(), label=base[i].label)
-            for i in rng.choice(900, 100, replace=False)
-        ]
-        mixed = base + planted
+        base = _records(rng, rng.integers(0, 3, 900))
+        planted = base[rng.choice(900, 100, replace=False)]
+        mixed = _concat(base, planted)[rng.permutation(1000)]
         out = deduplicate(mixed)
         assert len(out) == 900
         # definition-level O(n^2) oracle on a subset (full scan is slow)
         subset = mixed[:250]
-        assert deduplicate(subset) == dedup_oracle(subset)
+        assert deduplicate(subset).tobytes() == subset[dedup_oracle(subset)].tobytes()
 
     def test_count_equals_distinct_keys(self):
         rng = np.random.default_rng(5)
-        samples = [_sample(rng, label=int(rng.integers(0, 2))) for _ in range(50)]
-        samples += [LabeledSample(features=samples[i].features.copy(), label=samples[i].label) for i in range(10)]
-        keys = {(s.features.tobytes(), s.label) for s in samples}
+        samples = _records(rng, rng.integers(0, 2, 50))
+        samples = _concat(samples, samples[:10])
+        keys = {(s.features.tobytes(), int(s.label)) for s in samples}
         assert len(deduplicate(samples)) == len(keys)
 
 
 class TestUndersampleBenign:
     def _corpus(self, n_benign, n_attack, seed=0):
         rng = np.random.default_rng(seed)
-        benign = [_sample(rng, 0) for _ in range(n_benign)]
-        attacks = [_sample(rng, 1) for _ in range(n_attack)]
-        return benign + attacks
+        return _records(rng, [0] * n_benign + [1] * n_attack)
 
     def test_exact_cap(self):
         samples = self._corpus(1000, 100)
@@ -321,13 +344,13 @@ class TestUndersampleBenign:
 
     def test_noop_below_cap(self):
         samples = self._corpus(50, 100)
-        assert undersample_benign(samples, 1.0, seed=7) == samples
+        assert undersample_benign(samples, 1.0, seed=7).tobytes() == samples.tobytes()
 
     def test_deterministic(self):
         samples = self._corpus(500, 50)
         a = undersample_benign(samples, 1.0, seed=9)
         b = undersample_benign(samples, 1.0, seed=9)
-        assert a == b
+        assert a.tobytes() == b.tobytes()
 
     def test_no_attacks_error(self):
         samples = self._corpus(10, 0)
@@ -336,14 +359,14 @@ class TestUndersampleBenign:
 
     def test_infinite_ratio_noop(self):
         samples = self._corpus(10, 0)
-        assert undersample_benign(samples, float("inf"), seed=0) == samples
+        assert undersample_benign(samples, float("inf"), seed=0).tobytes() == samples.tobytes()
 
     def test_attacks_untouched_order_preserved(self):
         samples = self._corpus(30, 10)
         out = undersample_benign(samples, 1.0, seed=1)
-        assert [s for s in out if s.label != 0] == [s for s in samples if s.label != 0]
-        kept = [s for s in out if s.label == 0]
-        positions = [samples.index(s) for s in kept]
+        assert out[out.label != 0].tobytes() == samples[samples.label != 0].tobytes()
+        position = {row.tobytes(): i for i, row in enumerate(samples)}
+        positions = [position[row.tobytes()] for row in out[out.label == 0]]
         assert positions == sorted(positions)
 
 

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from osnids.cli import main
 from osnids.config import default_config
+from osnids.meta import META_FAMILIES
 
 
 def _small_config(workdir) -> dict:
@@ -146,6 +148,52 @@ class TestRun:
         assert len(lines) == total + 1
 
 
+def _perfbench_library():
+    """perfbench/library.py, imported from its file as the benchmark does."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "library.py"
+    spec = importlib.util.spec_from_file_location("perfbench_library", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkContract:
+    """The library calls the benchmark makes still exist and still agree."""
+
+    def test_layer_calls_resolve(self):
+        library = _perfbench_library()
+        for module, attr, _name, _note in library.LAYER_CALLS:
+            assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
+
+    def test_single_verdicts_match_batch_csv(self, finished_run):
+        import csv
+
+        _, workdir, _, _ = finished_run
+        with open(workdir / "verdicts.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        indices = [0, 1, len(rows) // 2, len(rows) - 1]
+        _, singles = _perfbench_library().single_verdicts(workdir / "bundle", workdir / "d3.sset", indices)
+        for i, (bits, v, decision, p) in zip(indices, singles):
+            row = rows[i]
+            assert tuple(bits) == tuple(int(row[f"O_{k + 1}"]) for k in range(4))
+            assert (repr(v), decision) == (row["v"], row["decision"])
+            # a one-row product may round differently from a batched one
+            batch_p = [float(row[f"p_{k + 1}"]) for k in range(len(p))]
+            assert np.allclose(p, batch_p, rtol=0, atol=1e-9)
+
+    def test_fit_meta_families_runs(self, finished_run):
+        _, workdir, cfg, _ = finished_run
+        library = _perfbench_library()
+        tracer = library.Tracer()
+        nodes = library.fit_meta_families(tracer, workdir / "bundle", workdir / "d2.sset", cfg)
+        assert set(nodes) == {"random_forest", "boost_depthwise", "boost_leafwise"}
+        assert all(count >= 1 for count in nodes.values())
+        assert tracer.names() == {f"meta.fit.{family}" for family in META_FAMILIES}
+
+
 class TestIngestSource:
     def test_pcap_to_verdicts(self, tmp_path):
         import numpy as np
@@ -241,6 +289,33 @@ class TestExitCodes:
         config_path = _write_config(tmp_path, cfg)
         main(["synth", "--config", config_path])
         assert main(["split", "--config", config_path]) == 3
+
+    def test_predict_empty_sample_set(self, finished_run, tmp_path):
+        from osnids.persistence import save_sample_set
+        from osnids.samples import SampleSet
+
+        _, workdir, _, _ = finished_run
+        save_sample_set(SampleSet(class_names=["benign"]), tmp_path / "empty.sset")
+        out = tmp_path / "v.csv"
+        code = main(
+            ["predict", "--bundle", str(workdir / "bundle"), "--samples", str(tmp_path / "empty.sset"),
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert out.read_text().splitlines() == [(workdir / "verdicts.csv").read_text().splitlines()[0]]
+
+    def test_predict_non_utf8_class_name_is_format_error(self, finished_run, tmp_path, capsys):
+        _, workdir, _, _ = finished_run
+        blob = bytearray((workdir / "d3.sset").read_bytes())
+        blob[13] = 0xFF  # first byte of the first class name
+        (tmp_path / "bad.sset").write_bytes(bytes(blob))
+        code = main(
+            ["predict", "--bundle", str(workdir / "bundle"), "--samples", str(tmp_path / "bad.sset"),
+             "--out", str(tmp_path / "v.csv")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_seed_override_changes_run(self, finished_run, tmp_path):
         _, workdir, cfg, _ = finished_run

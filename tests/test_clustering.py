@@ -18,7 +18,7 @@ from osnids.errors import (
     SingleCluster,
     TooFewPoints,
 )
-from osnids.samples import LabeledSample
+from osnids.samples import make_records
 
 from helpers import kmeans_partition_oracle, silhouette_oracle
 
@@ -151,34 +151,34 @@ class TestSelectClusterCount:
             select_cluster_count(P, 2, 20)
 
 
-def _benign_sample(rng):
-    feats = rng.integers(0, 256, 1500).astype(np.uint8)
-    feats[0] = max(int(feats[0]), 1)
-    return LabeledSample(features=feats, label=0)
+def _records(rng, n, label=0):
+    feats = rng.integers(0, 256, (n, 1500)).astype(np.uint8)
+    feats[:, 0] = np.maximum(feats[:, 0], 1)
+    return make_records(feats, label)
 
 
 class TestAnnotateClusters:
     def test_assigns_positionally(self):
         rng = np.random.default_rng(0)
-        samples = [_benign_sample(rng) for _ in range(4)]
+        samples = _records(rng, 4)
         out = annotate_clusters(samples, [0, 0, 0, 0])
-        assert all(s.cluster_id == 0 for s in out)
+        assert all(s.cluster == 0 for s in out)
         out = annotate_clusters(samples, [3, 1, 2, 0])
-        assert [s.cluster_id for s in out] == [3, 1, 2, 0]
+        assert [s.cluster for s in out] == [3, 1, 2, 0]
         assert all(s.label == 0 for s in out)
+        assert np.array_equal(out.features, samples.features)
+        assert np.all(samples.cluster == -1)  # the input is left as it was
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(1)
         with pytest.raises(LengthMismatch):
-            annotate_clusters([_benign_sample(rng)], [0, 1])
+            annotate_clusters(_records(rng, 1), [0, 1])
 
     def test_rejects_non_benign(self):
         rng = np.random.default_rng(2)
-        feats = rng.integers(0, 256, 1500).astype(np.uint8)
-        feats[0] = max(int(feats[0]), 1)
-        attack = LabeledSample(features=feats, label=2)
+        attack = _records(rng, 1, label=2)
         with pytest.raises(NonBenignSample):
-            annotate_clusters([attack], [0])
+            annotate_clusters(attack, [0])
 
 
 class TestTsne:

@@ -12,6 +12,7 @@ def test_exit_code_taxonomy():
         errors.CountMismatch,
         errors.ChecksumMismatch,
         errors.ManifestInvalid,
+        errors.BadEncoding,
     ):
         assert cls("x").exit_code == 2, cls
     for cls in (

@@ -9,7 +9,7 @@ from osnids.evaluation import (
     generate_synthetic,
     naive_baseline,
 )
-from osnids.samples import LabeledSample
+from osnids.samples import make_records
 
 
 class TestEvalReport:
@@ -34,17 +34,17 @@ class TestEvalReport:
         assert d["sensitivity"] is None
 
 
-def _sample(rng, label):
-    vec = rng.integers(0, 256, 1500).astype(np.uint8)
-    vec[0] = max(int(vec[0]), 1)
-    return LabeledSample(features=vec, label=label)
+def _records(rng, labels):
+    vecs = rng.integers(0, 256, (len(labels), 1500)).astype(np.uint8)
+    vecs[:, 0] = np.maximum(vecs[:, 0], 1)
+    return make_records(vecs, labels)
 
 
 class TestReportFromPredictions:
     def test_counts_and_per_class(self):
         rng = np.random.default_rng(0)
         names = ["benign", "atk_a", "atk_b"]
-        samples = [_sample(rng, 0)] * 4 + [_sample(rng, 1)] * 3 + [_sample(rng, 2)] * 3
+        samples = _records(rng, [0, 1, 2])[[0] * 4 + [1] * 3 + [2] * 3]
         preds = [False, False, True, False, True, True, False, True, True, True]
         report = _report_from_predictions(samples, preds, names)
         assert (report.tn, report.fp) == (3, 1)
@@ -101,28 +101,29 @@ class TestGenerateSynthetic:
 
     def test_cluster_ids_unset(self):
         corpus = generate_synthetic(SyntheticConfig(samples_per_class=2, seed=4))
-        assert all(s.cluster_id is None for s in corpus.sample_set.samples)
+        assert all(s.cluster == -1 for s in corpus.sample_set.samples)
 
 
 class TestNaiveBaseline:
     def _clustered_benign(self, rng, templates, per=20, sigma=4.0):
-        out = []
+        vecs, clusters = [], []
         for c, tpl in enumerate(templates):
             for _ in range(per):
                 vec = np.clip(np.rint(tpl + rng.normal(0, sigma, 1500)), 0, 255).astype(np.uint8)
                 vec[0] = max(int(vec[0]), 1)
-                out.append(LabeledSample(features=vec, label=0, cluster_id=c))
-        return out
+                vecs.append(vec)
+                clusters.append(c)
+        return make_records(np.stack(vecs), 0, clusters)
 
     def test_centroid_sample_is_benign(self):
         rng = np.random.default_rng(5)
         templates = rng.integers(0, 256, (2, 1500))
         d1 = self._clustered_benign(rng, templates)
         centroid = np.rint(
-            np.mean([s.features for s in d1 if s.cluster_id == 0], axis=0)
+            np.mean([s.features for s in d1 if s.cluster == 0], axis=0)
         ).astype(np.uint8)
         centroid[0] = max(int(centroid[0]), 1)
-        d3 = [LabeledSample(features=centroid, label=0)]
+        d3 = make_records(centroid[None, :], 0)
         report = naive_baseline(d1, d3, ["benign"], threshold_quantile=0.5)
         assert report.tn == 1 and report.fp == 0
 
@@ -130,7 +131,7 @@ class TestNaiveBaseline:
         rng = np.random.default_rng(6)
         templates = rng.integers(0, 256, (3, 1500))
         d1 = self._clustered_benign(rng, templates)
-        d3 = [LabeledSample(features=s.features, label=0) for s in d1]
+        d3 = make_records(d1.features, 0)
         report = naive_baseline(d1, d3, ["benign"], threshold_quantile=1.0)
         assert report.specificity == 1.0
 
@@ -138,7 +139,7 @@ class TestNaiveBaseline:
         rng = np.random.default_rng(7)
         templates = rng.integers(0, 256, (2, 1500))
         d1 = self._clustered_benign(rng, templates)
-        attacks = [_sample(rng, 1) for _ in range(20)]
+        attacks = _records(rng, [1] * 20)
         names = ["benign", "attack"]
         report = naive_baseline(d1, attacks, names, threshold_quantile=0.99)
         assert report.sensitivity == 1.0
@@ -146,6 +147,6 @@ class TestNaiveBaseline:
     def test_empty_inputs(self):
         rng = np.random.default_rng(8)
         with pytest.raises(EmptyDataset):
-            naive_baseline([], [_sample(rng, 0)], ["benign"])
+            naive_baseline(_records(rng, []), _records(rng, [0]), ["benign"])
         with pytest.raises(EmptyDataset):
-            naive_baseline([_sample(rng, 0)], [], ["benign"])
+            naive_baseline(_records(rng, [0]), _records(rng, []), ["benign"])

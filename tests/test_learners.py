@@ -10,32 +10,43 @@ from osnids.errors import (
 from osnids.features import normalize, to_rgb_image
 from osnids.learners import (
     CONVNET,
+    CONVNET_N_PARAMS,
     LOGISTIC,
     BaseEnsemble,
     BinaryScorer,
     TrainingConfig,
+    logistic_scores,
     meta_feature_matrix,
-    meta_features,
-    score,
+    sample_tensors,
     train_base_ensemble,
-    train_base_learner,
 )
-from osnids.samples import LabeledSample
+from osnids.samples import make_records
 
 from helpers import gradient_check
 
 
 def _clustered_corpus(rng, n_clusters=3, per_cluster=40, sigma=6.0):
-    """Benign samples drawn from well-separated byte templates."""
+    """Benign records drawn from well-separated byte templates."""
     templates = rng.integers(0, 256, (n_clusters, 1500))
-    samples = []
+    vecs = []
     for c in range(n_clusters):
         for _ in range(per_cluster):
             noisy = np.clip(np.rint(templates[c] + rng.normal(0, sigma, 1500)), 0, 255)
             vec = noisy.astype(np.uint8)
             vec[0] = max(int(vec[0]), 1)
-            samples.append(LabeledSample(features=vec, label=0, cluster_id=c))
-    return samples, templates
+            vecs.append(vec)
+    return make_records(np.stack(vecs), 0, np.repeat(np.arange(n_clusters), per_cluster)), templates
+
+
+def _random_records(rng, n):
+    vecs = rng.integers(0, 256, (n, 1500)).astype(np.uint8)
+    vecs[:, 0] = np.maximum(vecs[:, 0], 1)
+    return make_records(vecs, 0)
+
+
+def _pair(scorer):
+    """Two copies of one scorer: the smallest ensemble the batch path scores."""
+    return BaseEnsemble(scorers=[scorer, scorer], n_clusters=2)
 
 
 class TestGradients:
@@ -45,52 +56,54 @@ class TestGradients:
             assert gradient_check(kind, seed) <= 1e-4
 
 
+class TestSampleTensors:
+    def test_matches_per_sample_image_normalization(self):
+        rows = _random_records(np.random.default_rng(20), 30)
+        expected = np.stack([normalize(to_rgb_image(s.features)) for s in rows])
+        assert sample_tensors(rows).tobytes() == expected.tobytes()
+
+
 class TestScore:
     def test_zero_params_logistic_gives_half(self):
         scorer = BinaryScorer(kind=LOGISTIC, params=np.zeros(1501))
-        rng = np.random.default_rng(0)
-        tensor = normalize(to_rgb_image(rng.integers(0, 256, 1500)))
-        assert score(scorer, tensor) == 0.5
+        rows = _random_records(np.random.default_rng(0), 1)
+        assert np.all(meta_feature_matrix(_pair(scorer), rows) == 0.5)
 
     def test_purity(self):
         rng = np.random.default_rng(1)
         scorer = BinaryScorer(kind=LOGISTIC, params=rng.normal(0, 0.1, 1501))
-        tensor = normalize(to_rgb_image(rng.integers(0, 256, 1500)))
-        assert score(scorer, tensor) == score(scorer, tensor)
+        rows = _random_records(rng, 1)
+        assert meta_feature_matrix(_pair(scorer), rows).tobytes() == meta_feature_matrix(_pair(scorer), rows).tobytes()
 
     def test_geometry_mismatch(self):
-        scorer = BinaryScorer(kind=LOGISTIC, params=np.zeros(1501))
+        scorer = BinaryScorer(kind=LOGISTIC, params=np.zeros(1501), input_geometry=(25, 20, 3))
         with pytest.raises(GeometryMismatch):
-            score(scorer, np.zeros((25, 20, 3)))
+            meta_feature_matrix(_pair(scorer), _random_records(np.random.default_rng(3), 1))
 
     def test_scores_in_unit_interval_fuzz(self):
-        from osnids.learners import CONVNET_N_PARAMS
-
         rng = np.random.default_rng(2)
         for kind, n_params in ((LOGISTIC, 1501), (CONVNET, CONVNET_N_PARAMS)):
             scorer = BinaryScorer(kind=kind, params=rng.normal(0, 5.0, n_params))
-            for _ in range(25):
-                tensor = normalize(to_rgb_image(rng.integers(0, 256, 1500)))
-                assert 0.0 <= score(scorer, tensor) <= 1.0
+            mf = meta_feature_matrix(_pair(scorer), _random_records(rng, 25))
+            assert np.all((0.0 <= mf) & (mf <= 1.0))
 
 
 class TestTrainBaseLearner:
+    """One cluster-vs-rest scorer, read off the ensemble trained on D1."""
+
     def test_separable_clusters_high_accuracy(self):
         rng = np.random.default_rng(3)
         samples, _ = _clustered_corpus(rng)
-        scorer = train_base_learner(samples, cluster_id=0, config=TrainingConfig(seed=0))
-        tensors = np.stack([normalize(to_rgb_image(s.features)) for s in samples])
-        X = tensors.reshape(len(samples), -1)
-        from osnids.learners import logistic_scores
-
+        scorer = train_base_ensemble(samples, 3, config=TrainingConfig(seed=0)).scorers[0]
+        X = sample_tensors(samples).reshape(len(samples), -1)
         preds = logistic_scores(scorer.params, X) >= 0.5
-        truth = np.array([s.cluster_id == 0 for s in samples])
+        truth = samples.cluster == 0
         assert (preds == truth).mean() >= 0.99
 
     def test_loss_non_increasing_smoothed(self):
         rng = np.random.default_rng(4)
         samples, _ = _clustered_corpus(rng)
-        scorer = train_base_learner(samples, cluster_id=1, config=TrainingConfig(seed=1))
+        scorer = train_base_ensemble(samples, 3, config=TrainingConfig(seed=1)).scorers[1]
         losses = scorer.training_meta["loss_curve"]
         smoothed = [np.mean(losses[i : i + 5]) for i in range(len(losses) - 4)]
         assert all(smoothed[i + 1] <= smoothed[i] + 1e-3 for i in range(len(smoothed) - 1))
@@ -98,38 +111,40 @@ class TestTrainBaseLearner:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
         samples, _ = _clustered_corpus(rng, per_cluster=20)
-        a = train_base_learner(samples, 0, config=TrainingConfig(epochs=5, seed=7))
-        b = train_base_learner(samples, 0, config=TrainingConfig(epochs=5, seed=7))
-        assert a.params.tobytes() == b.params.tobytes()
+        a = train_base_ensemble(samples, 3, config=TrainingConfig(epochs=5, seed=7))
+        b = train_base_ensemble(samples, 3, config=TrainingConfig(epochs=5, seed=7))
+        for x, y in zip(a.scorers, b.scorers):
+            assert x.params.tobytes() == y.params.tobytes()
 
     def test_degenerate_classes(self):
         rng = np.random.default_rng(6)
         samples, _ = _clustered_corpus(rng, n_clusters=2, per_cluster=20)
+        samples = samples[11:]  # cluster 0 keeps 9 rows, below the 10-per-side floor
         with pytest.raises(DegenerateClasses):
-            train_base_learner(samples, cluster_id=5, config=TrainingConfig(epochs=1))
+            train_base_ensemble(samples, 2, config=TrainingConfig(epochs=1))
 
     def test_binary_reduction_ignores_other_cluster_ids(self):
         # relabeling the "rest" clusters must not change the trained scorer
         rng = np.random.default_rng(7)
         samples, _ = _clustered_corpus(rng, n_clusters=3, per_cluster=20)
-        permuted = [
-            s if s.cluster_id == 0 else s.with_cluster(1 + (s.cluster_id % 2))
-            for s in samples
-        ]
+        permuted = samples.copy()
+        rest = permuted.cluster != 0
+        permuted.cluster[rest] = 1 + (permuted.cluster[rest] % 2)
         cfg = TrainingConfig(epochs=5, seed=3)
-        a = train_base_learner(samples, 0, config=cfg)
-        b = train_base_learner(permuted, 0, config=cfg)
+        a = train_base_ensemble(samples, 3, config=cfg).scorers[0]
+        b = train_base_ensemble(permuted, 3, config=cfg).scorers[0]
         assert a.params.tobytes() == b.params.tobytes()
 
     def test_convnet_trains_and_loss_decreases(self):
         rng = np.random.default_rng(8)
         samples, _ = _clustered_corpus(rng, n_clusters=2, per_cluster=15)
-        scorer = train_base_learner(
-            samples, 0, config=TrainingConfig(epochs=8, learning_rate=0.001, seed=0), kind=CONVNET
+        ensemble = train_base_ensemble(
+            samples, 2, config=TrainingConfig(epochs=8, learning_rate=0.001, seed=0), kind=CONVNET
         )
-        losses = scorer.training_meta["loss_curve"]
-        assert losses[-1] < losses[0]
-        assert np.all(np.isfinite(scorer.params))
+        for scorer in ensemble.scorers:
+            losses = scorer.training_meta["loss_curve"]
+            assert losses[-1] < losses[0]
+            assert np.all(np.isfinite(scorer.params))
 
 
 class TestTrainBaseEnsemble:
@@ -142,7 +157,7 @@ class TestTrainBaseEnsemble:
     def test_missing_cluster(self):
         rng = np.random.default_rng(10)
         samples, _ = _clustered_corpus(rng, n_clusters=3, per_cluster=15)
-        samples = [s for s in samples if s.cluster_id != 2]
+        samples = samples[samples.cluster != 2]
         with pytest.raises(MissingCluster):
             train_base_ensemble(samples, 4, config=TrainingConfig(epochs=1))
 
@@ -167,40 +182,35 @@ def trained():
 class TestMetaFeatures:
     def test_shape_and_range(self, trained):
         ensemble, samples, _, _ = trained
-        mf = meta_features(ensemble, samples[0])
-        assert mf.shape == (3,)
+        mf = meta_feature_matrix(ensemble, samples[:1])
+        assert mf.shape == (1, 3)
         assert np.all((mf >= 0) & (mf <= 1))
 
     def test_own_cluster_scores_higher(self, trained):
         ensemble, samples, _, _ = trained
         rng = np.random.default_rng(13)
         picks = rng.choice(len(samples), 200, replace=True)
+        mf = meta_feature_matrix(ensemble, samples[picks])
         wins = 0
-        for i in picks:
-            s = samples[i]
-            mf = meta_features(ensemble, s)
-            own = mf[s.cluster_id]
-            others = np.delete(mf, s.cluster_id)
+        for row, cluster in zip(mf, samples.cluster[picks]):
+            own = row[cluster]
+            others = np.delete(row, cluster)
             wins += int(own > others.max())
         assert wins >= 190
 
     def test_far_samples_score_low(self, trained):
         ensemble, _, templates, _ = trained
         rng = np.random.default_rng(14)
-        low = 0
         n = 100
-        for _ in range(n):
-            vec = rng.integers(0, 256, 1500).astype(np.uint8)  # far from all templates whp
-            vec[0] = max(int(vec[0]), 1)
-            mf = meta_features(ensemble, LabeledSample(features=vec, label=0))
-            low += int(mf.max() <= 0.5)
+        mf = meta_feature_matrix(ensemble, _random_records(rng, n))  # far from all templates whp
+        low = int(np.sum(mf.max(axis=1) <= 0.5))
         assert low >= int(0.9 * n)
 
     def test_batch_matches_single(self, trained):
         ensemble, samples, _, _ = trained
         mf_batch = meta_feature_matrix(ensemble, samples[:10])
         for i in range(10):
-            assert np.allclose(mf_batch[i], meta_features(ensemble, samples[i]), atol=1e-12)
+            assert np.allclose(mf_batch[i], meta_feature_matrix(ensemble, samples[i : i + 1])[0], atol=1e-12)
 
     def test_untrained_ensemble(self):
         with pytest.raises((UntrainedEnsemble, MissingCluster)):
@@ -208,5 +218,5 @@ class TestMetaFeatures:
             empty.scorers = []
             empty.n_clusters = 0
             rng = np.random.default_rng(15)
-            vec = rng.integers(1, 256, 1500).astype(np.uint8)
-            meta_features(empty, LabeledSample(features=vec, label=0))
+            vec = rng.integers(1, 256, (1, 1500)).astype(np.uint8)
+            meta_feature_matrix(empty, make_records(vec, 0))

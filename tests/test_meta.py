@@ -12,13 +12,12 @@ from osnids.meta import (
     MetaConfig,
     MetaEnsemble,
     classifier_outputs,
-    predict,
     predict_batch,
     train_meta_classifiers,
     vote,
     write_verdict_csv,
 )
-from osnids.samples import LabeledSample
+from osnids.samples import make_records
 
 
 class _StubClassifier:
@@ -138,23 +137,22 @@ class TestTrainMetaClassifiers:
 def _mini_pipeline(rng):
     """Tiny trained base + meta pair over 2 benign byte templates."""
     templates = rng.integers(0, 256, (4, 1500))
-    benign = []
-    for c in range(2):
-        for _ in range(30):
+
+    def noisy(c, count):
+        vecs = []
+        for _ in range(count):
             vec = np.clip(np.rint(templates[c] + rng.normal(0, 5, 1500)), 0, 255).astype(np.uint8)
             vec[0] = max(int(vec[0]), 1)
-            benign.append(LabeledSample(features=vec, label=0, cluster_id=c))
+            vecs.append(vec)
+        return vecs
+
+    benign = make_records(np.stack(noisy(0, 30) + noisy(1, 30)), 0, np.repeat([0, 1], 30))
     base = train_base_ensemble(benign, 2, config=TrainingConfig(epochs=10, seed=0))
 
-    attacks = []
-    for c in (2, 3):
-        for _ in range(20):
-            vec = np.clip(np.rint(templates[c] + rng.normal(0, 5, 1500)), 0, 255).astype(np.uint8)
-            vec[0] = max(int(vec[0]), 1)
-            attacks.append(LabeledSample(features=vec, label=1))
-    d2_all = [LabeledSample(features=s.features, label=0) for s in benign] + attacks
+    attacks = make_records(np.stack(noisy(2, 20) + noisy(3, 20)), 1)
+    d2_all = make_records(np.concatenate([benign.features, attacks.features]), [0] * 60 + [1] * 40)
     mf = meta_feature_matrix(base, d2_all)
-    labels = np.array([0.0 if s.label == 0 else 1.0 for s in d2_all])
+    labels = (d2_all.label != 0).astype(np.float64)
     meta = train_meta_classifiers(mf, labels, config=MetaConfig(forest_trees=20, boost_rounds=20), seed=0)
     return base, meta, benign, attacks
 
@@ -162,9 +160,9 @@ def _mini_pipeline(rng):
 class TestPredict:
     def test_sixteen_forced_outputs_match_voting_rule(self):
         rng = np.random.default_rng(6)
-        vec = rng.integers(0, 256, 1500).astype(np.uint8)
-        vec[0] = max(int(vec[0]), 1)
-        sample = LabeledSample(features=vec, label=0)
+        vec = rng.integers(0, 256, (1, 1500)).astype(np.uint8)
+        vec[0, 0] = max(int(vec[0, 0]), 1)
+        sample = make_records(vec, 0)
 
         from osnids.learners import BaseEnsemble, BinaryScorer
 
@@ -173,7 +171,7 @@ class TestPredict:
             n_clusters=2,
         )
         for bits in itertools.product((0, 1), repeat=4):
-            verdict = predict(base, _stub_ensemble(bits), sample)
+            (verdict,), _ = predict_batch(base, _stub_ensemble(bits), sample)
             v = sum(bits) / 4
             assert verdict.v == v
             assert verdict.decision == (UNKNOWN_ATTACK if v >= 0.5 else BENIGN)
@@ -184,24 +182,23 @@ class TestPredict:
         base, meta, benign, _ = _mini_pipeline(rng)
         # unseen attack template, far from the benign ones
         unknown_template = rng.integers(0, 256, 1500)
+        vecs = np.clip(np.rint(unknown_template + rng.normal(0, 5, (100, 1500))), 0, 255).astype(np.uint8)
+        vecs[:, 0] = np.maximum(vecs[:, 0], 1)
+        unknown = make_records(vecs, 0)
         hits = 0
-        for _ in range(100):
-            vec = np.clip(np.rint(unknown_template + rng.normal(0, 5, 1500)), 0, 255).astype(np.uint8)
-            vec[0] = max(int(vec[0]), 1)
-            verdict = predict(base, meta, LabeledSample(features=vec, label=0))
+        for i in range(len(unknown)):  # one verdict per one-row slice
+            (verdict,), _ = predict_batch(base, meta, unknown[i : i + 1])
             hits += int(verdict.decision == UNKNOWN_ATTACK)
         assert hits >= 90
 
-        benign_ok = 0
-        for s in benign:
-            plain = LabeledSample(features=s.features, label=0)
-            benign_ok += int(predict(base, meta, plain).decision == BENIGN)
+        plain = make_records(benign.features, 0)
+        verdicts, _ = predict_batch(base, meta, plain)
+        benign_ok = sum(v.decision == BENIGN for v in verdicts)
         assert benign_ok >= int(0.9 * len(benign))
 
     def test_untrained_model(self):
         rng = np.random.default_rng(8)
-        vec = rng.integers(1, 256, 1500).astype(np.uint8)
-        sample = LabeledSample(features=vec, label=0)
+        sample = make_records(rng.integers(1, 256, (1, 1500)).astype(np.uint8), 0)
         ensemble = _stub_ensemble([0, 0, 0, 0])
         from osnids.learners import BaseEnsemble
 
@@ -209,14 +206,14 @@ class TestPredict:
         hollow.scorers = []
         hollow.n_clusters = 0
         with pytest.raises(UntrainedModel):
-            predict(hollow, ensemble, sample)
+            predict_batch(hollow, ensemble, sample)
 
 
 class TestVerdictCsv:
     def test_audit_columns(self, tmp_path):
         rng = np.random.default_rng(9)
         base, meta, benign, attacks = _mini_pipeline(rng)
-        samples = [LabeledSample(features=s.features, label=s.label) for s in benign[:5]] + attacks[:5]
+        samples = make_records(np.concatenate([benign.features[:5], attacks.features[:5]]), [0] * 5 + [1] * 5)
         verdicts, mf = predict_batch(base, meta, samples)
         path = tmp_path / "verdicts.csv"
         write_verdict_csv(path, mf, verdicts)

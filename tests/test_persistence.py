@@ -1,13 +1,19 @@
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osnids.errors import (
+    BadEncoding,
     BadMagic,
     ChecksumMismatch,
     CountMismatch,
     ManifestInvalid,
+    PipelineError,
+    ValueOutOfRange,
     VersionUnsupported,
 )
 from osnids.learners import TrainingConfig, meta_feature_matrix, train_base_ensemble
@@ -18,13 +24,22 @@ from osnids.persistence import (
     save_bundle,
     save_sample_set,
 )
-from osnids.samples import LabeledSample, SampleSet
+from osnids.samples import SampleSet, make_records
+
+from helpers import sset_oracle
 
 
-def _sample(rng, label=0, cluster_id=None):
-    vec = rng.integers(0, 256, 1500).astype(np.uint8)
-    vec[0] = max(int(vec[0]), 1)
-    return LabeledSample(features=vec, label=label, cluster_id=cluster_id)
+def _rows(rng, n):
+    feats = rng.integers(0, 256, (n, 1500)).astype(np.uint8)
+    feats[:, 0] = np.maximum(feats[:, 0], 1)
+    return feats
+
+
+def _random_set(rng, n, class_names=("benign", "a", "b")):
+    """n random records; about half the benign ones carry a cluster id."""
+    labels = rng.integers(0, len(class_names), n)
+    clusters = np.where((labels == 0) & (rng.random(n) < 0.5), rng.integers(0, 4, n), -1)
+    return SampleSet(class_names=list(class_names), samples=make_records(_rows(rng, n), labels, clusters))
 
 
 class TestSampleSetRoundTrip:
@@ -35,34 +50,39 @@ class TestSampleSetRoundTrip:
         assert load_sample_set(path) == original
 
     def test_random_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        samples = [
-            _sample(
-                rng,
-                label=int(rng.integers(0, 3)),
-                cluster_id=None,
-            )
-            for _ in range(1000)
-        ]
-        # only benign may carry cluster ids
-        samples = [
-            s.with_cluster(int(rng.integers(0, 4))) if s.label == 0 and rng.random() < 0.5 else s
-            for s in samples
-        ]
-        original = SampleSet(class_names=["benign", "a", "b"], samples=samples)
+        original = _random_set(np.random.default_rng(0), 1000)
         path = tmp_path / "corpus.sset"
         save_sample_set(original, path)
         loaded = load_sample_set(path)
         assert loaded == original
 
+    def test_save_load_save_byte_identical(self, tmp_path):
+        for seed in range(5):
+            rng = np.random.default_rng(10 + seed)
+            original = _random_set(rng, int(rng.integers(0, 50)), ("benign", "é-attack", "x" * 300))
+            first, second = tmp_path / f"a{seed}.sset", tmp_path / f"b{seed}.sset"
+            save_sample_set(original, first)
+            save_sample_set(load_sample_set(first), second)
+            assert second.read_bytes() == first.read_bytes()
+
+    def test_loader_matches_struct_oracle(self, tmp_path):
+        for seed in range(5):
+            rng = np.random.default_rng(20 + seed)
+            path = tmp_path / f"o{seed}.sset"
+            save_sample_set(_random_set(rng, int(rng.integers(0, 80)), ("benign", "ü", "c")), path)
+            names, features, labels, clusters = sset_oracle(path.read_bytes())
+            loaded = load_sample_set(path)
+            assert loaded.class_names == names
+            assert len(loaded.samples) == len(labels)
+            for row, feats, label, cluster in zip(loaded.samples, features, labels, clusters):
+                assert np.array_equal(row.features, feats)
+                assert (int(row.label), int(row.cluster)) == (label, cluster)
+
     def test_golden_encoding(self, tmp_path):
         feats = np.zeros(1500, dtype=np.uint8)
         feats[0] = 7
         feats[1499] = 255
-        original = SampleSet(
-            class_names=["benign", "x"],
-            samples=[LabeledSample(features=feats, label=1, cluster_id=None)],
-        )
+        original = SampleSet(class_names=["benign", "x"], samples=make_records(feats[None, :], [1]))
         path = tmp_path / "golden.sset"
         save_sample_set(original, path)
         blob = path.read_bytes()
@@ -77,7 +97,7 @@ class TestSampleSetRoundTrip:
 
     def test_truncated_records(self, tmp_path):
         rng = np.random.default_rng(1)
-        original = SampleSet(class_names=["benign"], samples=[_sample(rng) for _ in range(10)])
+        original = SampleSet(class_names=["benign"], samples=make_records(_rows(rng, 10), 0))
         path = tmp_path / "t.sset"
         save_sample_set(original, path)
         blob = path.read_bytes()
@@ -95,7 +115,7 @@ class TestSampleSetRoundTrip:
 
     def test_version_unsupported(self, tmp_path):
         rng = np.random.default_rng(2)
-        original = SampleSet(class_names=["benign"], samples=[_sample(rng)])
+        original = SampleSet(class_names=["benign"], samples=make_records(_rows(rng, 1), 0))
         path = tmp_path / "v.sset"
         save_sample_set(original, path)
         blob = bytearray(path.read_bytes())
@@ -106,29 +126,90 @@ class TestSampleSetRoundTrip:
 
 
 @pytest.fixture(scope="module")
+def small_sset(tmp_path_factory):
+    """A three-record set (benign with cluster 2, attack, benign) and its bytes."""
+    root = tmp_path_factory.mktemp("sset")
+    samples = make_records(_rows(np.random.default_rng(30), 3), [0, 1, 0], [2, -1, -1])
+    save_sample_set(SampleSet(class_names=["benign", "atk"], samples=samples), root / "small.sset")
+    return root, (root / "small.sset").read_bytes()
+
+
+def _record_offset(blob: bytes, i: int) -> int:
+    return len(blob) - (3 - i) * 1504
+
+
+class TestSampleSetValidation:
+    @pytest.mark.parametrize(
+        "row, offset, value",
+        [
+            (1, 0, bytes(1500)),  # all-zero payload
+            (1, 1500, struct.pack("<H", 2)),  # label outside the 2-class table
+            (1, 1502, struct.pack("<h", 0)),  # cluster id on an attack row
+        ],
+    )
+    def test_bad_record_is_data_error(self, small_sset, row, offset, value):
+        root, original = small_sset
+        blob = bytearray(original)
+        start = _record_offset(original, row) + offset
+        blob[start : start + len(value)] = value
+        (root / "bad.sset").write_bytes(bytes(blob))
+        with pytest.raises(ValueOutOfRange) as info:
+            load_sample_set(root / "bad.sset")
+        assert info.value.exit_code == 3
+
+    def test_non_utf8_class_name(self, small_sset):
+        root, original = small_sset
+        blob = bytearray(original)
+        blob[13] = 0xFF  # first byte of the first class name
+        (root / "enc.sset").write_bytes(bytes(blob))
+        with pytest.raises(BadEncoding) as info:
+            load_sample_set(root / "enc.sset")
+        assert info.value.exit_code == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutation_or_truncation_is_set_or_pipeline_error(self, small_sset, data):
+        root, original = small_sset
+        blob = bytearray(original)
+        header_end = _record_offset(original, 0)
+        # half the draws land in the short header, which the records would dwarf
+        anywhere = st.one_of(st.integers(0, header_end - 1), st.integers(0, len(blob) - 1))
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(anywhere, label="length")]
+        else:
+            pos = data.draw(anywhere, label="offset")
+            blob[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]), label="byte")
+        path = root / "mutated.sset"
+        path.write_bytes(bytes(blob))
+        try:
+            loaded = load_sample_set(path)
+        except PipelineError:
+            return
+        assert isinstance(loaded, SampleSet)
+
+
+@pytest.fixture(scope="module")
 def trained_pair():
     rng = np.random.default_rng(3)
     templates = rng.integers(0, 256, (4, 1500))
-    benign = []
-    for c in range(2):
-        for _ in range(25):
-            vec = np.clip(np.rint(templates[c] + rng.normal(0, 5, 1500)), 0, 255).astype(np.uint8)
-            vec[0] = max(int(vec[0]), 1)
-            benign.append(LabeledSample(features=vec, label=0, cluster_id=c))
-    base = train_base_ensemble(benign, 2, config=TrainingConfig(epochs=5, seed=0))
 
-    d2 = [LabeledSample(features=s.features, label=0) for s in benign]
-    for c in (2, 3):
-        for _ in range(25):
-            vec = np.clip(np.rint(templates[c] + rng.normal(0, 5, 1500)), 0, 255).astype(np.uint8)
-            vec[0] = max(int(vec[0]), 1)
-            d2.append(LabeledSample(features=vec, label=1))
+    def noisy(c):
+        vec = np.clip(np.rint(templates[c] + rng.normal(0, 5, 1500)), 0, 255).astype(np.uint8)
+        vec[0] = max(int(vec[0]), 1)
+        return vec
+
+    benign = np.stack([noisy(c) for c in range(2) for _ in range(25)])
+    clusters = np.repeat([0, 1], 25)
+    base = train_base_ensemble(make_records(benign, 0, clusters), 2, config=TrainingConfig(epochs=5, seed=0))
+
+    attacks = np.stack([noisy(c) for c in (2, 3) for _ in range(25)])
+    d2 = make_records(np.concatenate([benign, attacks]), [0] * 50 + [1] * 50)
     mf = meta_feature_matrix(base, d2)
-    labels = np.array([0.0 if s.label == 0 else 1.0 for s in d2])
+    labels = (d2.label != 0).astype(np.float64)
     meta = train_meta_classifiers(
         mf, labels, config=MetaConfig(forest_trees=10, boost_rounds=10), seed=0
     )
-    probe = [_sample(np.random.default_rng(100 + i)) for i in range(100)]
+    probe = make_records(np.concatenate([_rows(np.random.default_rng(100 + i), 1) for i in range(100)]), 0)
     return base, meta, probe
 
 
@@ -173,10 +254,19 @@ class TestBundleRoundTrip:
         base, meta, _ = trained_pair
         save_bundle(base, meta, tmp_path / "b5")
         manifest = tmp_path / "b5" / "manifest.json"
-        import json
-
         data = json.loads(manifest.read_text())
         data["format_version"] = 9
         manifest.write_text(json.dumps(data))
         with pytest.raises(VersionUnsupported):
             load_bundle(tmp_path / "b5")
+
+    @pytest.mark.parametrize("seeds", [None, [1, 2], "meta", 7])
+    def test_seeds_not_an_object(self, tmp_path, trained_pair, seeds):
+        base, meta, _ = trained_pair
+        save_bundle(base, meta, tmp_path / "b6")
+        manifest = tmp_path / "b6" / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["seeds"] = seeds
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(ManifestInvalid):
+            load_bundle(tmp_path / "b6")

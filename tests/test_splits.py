@@ -2,23 +2,17 @@ import numpy as np
 import pytest
 
 from osnids.errors import EmptyBenign, InvalidRange, NoKnownAttacks, UnknownHeldoutClass
-from osnids.samples import LabeledSample, SampleSet
+from osnids.samples import SampleSet, make_records
 from osnids.splits import SplitSpec, build_splits, split_manifest
 
 
 def _corpus(n_benign=1000, n_known=300, n_heldout=200, seed=0):
     rng = np.random.default_rng(seed)
-
-    def sample(label):
-        feats = rng.integers(0, 256, 1500).astype(np.uint8)
-        feats[0] = max(int(feats[0]), 1)
-        return LabeledSample(features=feats, label=label)
-
     names = ["benign", "known_a", "known_b", "heldout_a", "heldout_b"]
-    samples = [sample(0) for _ in range(n_benign)]
-    samples += [sample(1 + i % 2) for i in range(n_known)]
-    samples += [sample(3 + i % 2) for i in range(n_heldout)]
-    return SampleSet(class_names=names, samples=samples)
+    labels = [0] * n_benign + [1 + i % 2 for i in range(n_known)] + [3 + i % 2 for i in range(n_heldout)]
+    feats = rng.integers(0, 256, (len(labels), 1500)).astype(np.uint8)
+    feats[:, 0] = np.maximum(feats[:, 0], 1)
+    return SampleSet(class_names=names, samples=make_records(feats, labels))
 
 
 HELDOUT = frozenset({"heldout_a", "heldout_b"})
@@ -44,14 +38,14 @@ class TestBuildSplits:
         heldout_ids = {3, 4}
         for seed in range(10):
             result = build_splits(corpus, SplitSpec(heldout_classes=HELDOUT, seed=seed))
-            assert not any(s.label in heldout_ids for s in result.d1 + result.d2)
+            assert not any(s.label in heldout_ids for part in (result.d1, result.d2) for s in part)
             n_heldout_d3 = sum(1 for s in result.d3 if s.label in heldout_ids)
             assert n_heldout_d3 == 200
 
     def test_known_attacks_all_in_d2(self):
         result = build_splits(_corpus(), SplitSpec(heldout_classes=HELDOUT, seed=2))
         assert sum(1 for s in result.d2 if s.label in (1, 2)) == 300
-        assert not any(s.label in (1, 2) for s in result.d1 + result.d3)
+        assert not any(s.label in (1, 2) for part in (result.d1, result.d3) for s in part)
 
     def test_benign_partition_disjoint_exhaustive(self):
         corpus = _corpus(n_benign=101)
@@ -69,7 +63,8 @@ class TestBuildSplits:
         corpus = _corpus()
         a = build_splits(corpus, SplitSpec(heldout_classes=HELDOUT, seed=9))
         b = build_splits(corpus, SplitSpec(heldout_classes=HELDOUT, seed=9))
-        assert a.d1 == b.d1 and a.d2 == b.d2 and a.d3 == b.d3
+        for part in ("d1", "d2", "d3"):
+            assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
 
     def test_unknown_heldout_class(self):
         with pytest.raises(UnknownHeldoutClass):
