@@ -34,6 +34,7 @@ CONVNET = "convnet"
 SCORER_KINDS = (LOGISTIC, CONVNET)
 
 _INPUT_DIM = int(np.prod(IMAGE_SHAPE))
+LOGISTIC_N_PARAMS = _INPUT_DIM + 1
 
 # convnet geometry: two valid 3x3 convs, one 2x2 max-pool, dense head
 _C1_OUT, _C2_OUT = 8, 16
@@ -109,7 +110,7 @@ def _weighted_bce(p: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
 
 def logistic_init(seed: int = 0) -> np.ndarray:
     # zero init keeps the problem convex-deterministic and scores 0.5 everywhere
-    return np.zeros(_INPUT_DIM + 1)
+    return np.zeros(LOGISTIC_N_PARAMS)
 
 
 def logistic_scores(params: np.ndarray, X: np.ndarray) -> np.ndarray:

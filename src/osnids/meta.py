@@ -23,6 +23,8 @@ UNKNOWN_ATTACK = "unknown_attack"
 
 META_FAMILIES = ("logistic", "random_forest", "boost_depthwise", "boost_leafwise")
 VOTE_ARITY = 4
+IRLS_ITERATIONS = 25
+IRLS_L2 = 1e-6  # ridge on the logistic meta-classifier's weights, not its bias
 
 
 @dataclass
@@ -33,25 +35,21 @@ class MetaConfig:
     boost_learning_rate: float = 0.1
     boost_depth: int = 3
     boost_leaves: int = 15
-    logistic_iterations: int = 25
-    logistic_l2: float = 1e-6
     holdout_fraction: float = 0.2
 
 
 class LogisticMetaClassifier:
     """Logistic regression fit by iteratively reweighted least squares."""
 
-    def __init__(self, iterations: int = 25, l2: float = 1e-6):
-        self.iterations = iterations
-        self.l2 = l2
+    def __init__(self):
         self.coef: Optional[np.ndarray] = None  # (d + 1,), bias last
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticMetaClassifier":
         Xb = np.hstack([X, np.ones((X.shape[0], 1))])
         w = np.zeros(Xb.shape[1])
-        reg = self.l2 * np.eye(Xb.shape[1])
+        reg = IRLS_L2 * np.eye(Xb.shape[1])
         reg[-1, -1] = 0.0
-        for _ in range(self.iterations):
+        for _ in range(IRLS_ITERATIONS):
             p = 1.0 / (1.0 + np.exp(-(Xb @ w)))
             r = np.maximum(p * (1.0 - p), 1e-9)
             H = (Xb * r[:, None]).T @ Xb + reg
@@ -70,7 +68,7 @@ class LogisticMetaClassifier:
 
 def _make_classifier(family: str, config: MetaConfig, seed: int):
     if family == "logistic":
-        return LogisticMetaClassifier(config.logistic_iterations, config.logistic_l2)
+        return LogisticMetaClassifier()
     if family == "random_forest":
         return RandomForest(n_trees=config.forest_trees, max_depth=config.forest_depth, seed=seed)
     if family == "boost_depthwise":

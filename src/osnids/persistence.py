@@ -26,7 +26,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .features import IMAGE_SHAPE
-from .learners import BaseEnsemble, BinaryScorer, CONVNET, LOGISTIC
+from .learners import BaseEnsemble, BinaryScorer, CONVNET, CONVNET_N_PARAMS, LOGISTIC, LOGISTIC_N_PARAMS
 from .meta import META_FAMILIES, LogisticMetaClassifier, MetaEnsemble
 from .samples import RECORD_DTYPE, SampleSet
 from .trees import GradientBoostedTrees, RandomForest, TreeNodes
@@ -133,6 +133,27 @@ def _read_payload(path: Path) -> bytes:
 
 _KIND_TAGS = {LOGISTIC: 1, CONVNET: 2}
 _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
+_N_PARAMS = {LOGISTIC: LOGISTIC_N_PARAMS, CONVNET: CONVNET_N_PARAMS}
+_META_TAGS = {"logistic": 10, "random_forest": 11, "boost_depthwise": 12, "boost_leafwise": 13}
+# feature, threshold, left, right, value: one array after another
+_NODE_DTYPES = tuple(np.dtype(t) for t in ("<i4", "<f8", "<i4", "<i4", "<f8"))
+_NODE_BYTES = sum(t.itemsize for t in _NODE_DTYPES)
+
+# Every read below is bounded by the payload length: the CRC guards against
+# corruption, not against a hostile file with a recomputed checksum.
+
+
+def _take(payload: bytes, pos: int, fmt: str) -> tuple[tuple, int]:
+    end = pos + struct.calcsize(fmt)
+    if end > len(payload):
+        raise ManifestInvalid(f"parameter payload truncated at offset {pos}")
+    return struct.unpack_from(fmt, payload, pos), end
+
+
+def _done(payload: bytes, pos: int, decoded):
+    if pos != len(payload):
+        raise ManifestInvalid(f"parameter payload has {len(payload) - pos} trailing bytes")
+    return decoded
 
 
 def _encode_array(arr: np.ndarray) -> bytes:
@@ -140,11 +161,13 @@ def _encode_array(arr: np.ndarray) -> bytes:
     return struct.pack("<I", arr.size) + data
 
 
-def _decode_array(payload: bytes, pos: int) -> tuple[np.ndarray, int]:
-    (size,) = struct.unpack_from("<I", payload, pos)
-    pos += 4
-    arr = np.frombuffer(payload, dtype="<f8", count=size, offset=pos).copy()
-    return arr, pos + size * 8
+def _decode_array(payload: bytes, pos: int, expected: int) -> tuple[np.ndarray, int]:
+    (size,), pos = _take(payload, pos, "<I")
+    if size != expected:
+        raise ManifestInvalid(f"parameter array holds {size} values, expected {expected}")
+    if pos + 8 * size > len(payload):
+        raise ManifestInvalid("parameter array runs past the payload's end")
+    return np.frombuffer(payload, dtype="<f8", count=size, offset=pos).copy(), pos + 8 * size
 
 
 def _encode_scorer(scorer: BinaryScorer) -> bytes:
@@ -152,91 +175,85 @@ def _encode_scorer(scorer: BinaryScorer) -> bytes:
 
 
 def _decode_scorer(payload: bytes, meta: dict) -> BinaryScorer:
-    (tag,) = struct.unpack_from("<B", payload, 0)
+    (tag,), pos = _take(payload, 0, "<B")
     if tag not in _TAG_KINDS:
         raise ManifestInvalid(f"unknown scorer kind tag {tag}")
-    params, _ = _decode_array(payload, 1)
-    return BinaryScorer(kind=_TAG_KINDS[tag], params=params, training_meta=dict(meta))
+    kind = _TAG_KINDS[tag]
+    params, pos = _decode_array(payload, pos, _N_PARAMS[kind])
+    return _done(payload, pos, BinaryScorer(kind=kind, params=params, training_meta=dict(meta)))
 
 
 def _encode_tree(tree: TreeNodes) -> bytes:
-    n = len(tree)
-    return (
-        struct.pack("<I", n)
-        + np.ascontiguousarray(tree.feature, dtype="<i4").tobytes()
-        + np.ascontiguousarray(tree.threshold, dtype="<f8").tobytes()
-        + np.ascontiguousarray(tree.left, dtype="<i4").tobytes()
-        + np.ascontiguousarray(tree.right, dtype="<i4").tobytes()
-        + np.ascontiguousarray(tree.value, dtype="<f8").tobytes()
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    return struct.pack("<I", len(tree)) + b"".join(
+        np.ascontiguousarray(arr, dtype=dtype).tobytes() for arr, dtype in zip(arrays, _NODE_DTYPES)
     )
 
 
 def _decode_tree(payload: bytes, pos: int) -> tuple[TreeNodes, int]:
-    (n,) = struct.unpack_from("<I", payload, pos)
-    pos += 4
+    (n,), pos = _take(payload, pos, "<I")
+    end = pos + n * _NODE_BYTES
+    if n == 0 or end > len(payload):
+        room = (len(payload) - pos) // _NODE_BYTES
+        raise ManifestInvalid(f"tree declares {n} nodes; the payload has room for {room}")
+    arrays = []
+    for dtype in _NODE_DTYPES:
+        arrays.append(np.frombuffer(payload, dtype=dtype, count=n, offset=pos).copy())
+        pos += n * dtype.itemsize
+    return TreeNodes(*arrays), end
 
-    def arr(dtype, width):
-        nonlocal pos
-        out = np.frombuffer(payload, dtype=dtype, count=n, offset=pos).copy()
-        pos += n * width
-        return out
 
-    feature = arr("<i4", 4)
-    threshold = arr("<f8", 8)
-    left = arr("<i4", 4)
-    right = arr("<i4", 4)
-    value = arr("<f8", 8)
-    return TreeNodes(feature, threshold, left, right, value), pos
+def _check_trees(trees: list[TreeNodes], n_features: int) -> None:
+    """Every node is a leaf (feature -1) or splits on a feature in
+    [0, n_features) with both children after it in its tree, so every
+    route ends at a leaf. One vectorized pass over all the trees."""
+    sizes = [len(t) for t in trees]
+    n = np.repeat(sizes, sizes)
+    i = np.arange(n.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    feature, left, right = (
+        np.concatenate([getattr(t, name) for t in trees]) for name in ("feature", "left", "right")
+    )
+    split_ok = (feature >= 0) & (feature < n_features) & (left > i) & (left < n) & (right > i) & (right < n)
+    if not ((feature == -1) | split_ok).all():
+        raise ManifestInvalid("tree node arrays do not form trees")
 
 
 def _encode_meta_classifier(family: str, clf) -> bytes:
+    tag = _META_TAGS[family]
     if family == "logistic":
-        return struct.pack("<B", 10) + _encode_array(clf.coef)
+        return struct.pack("<B", tag) + _encode_array(clf.coef)
     if family == "random_forest":
-        body = struct.pack("<BI", 11, len(clf.trees))
-        for tree in clf.trees:
-            body += _encode_tree(tree)
-        return body
-    # boosted families share a layout; tag distinguishes growth order
-    tag = 12 if family == "boost_depthwise" else 13
-    body = struct.pack("<BddI", tag, clf.base_score, clf.learning_rate, len(clf.trees))
+        body = struct.pack("<BI", tag, len(clf.trees))
+    else:  # boosted families share a layout; the tag gives the growth order
+        body = struct.pack("<BddI", tag, clf.base_score, clf.learning_rate, len(clf.trees))
     for tree in clf.trees:
         body += _encode_tree(tree)
     return body
 
 
-def _decode_meta_classifier(family: str, payload: bytes):
-    (tag,) = struct.unpack_from("<B", payload, 0)
-    if family == "logistic":
-        if tag != 10:
-            raise ManifestInvalid(f"meta family logistic has wrong tag {tag}")
-        clf = LogisticMetaClassifier()
-        clf.coef, _ = _decode_array(payload, 1)
-        return clf
-    if family == "random_forest":
-        if tag != 11:
-            raise ManifestInvalid(f"meta family random_forest has wrong tag {tag}")
-        (n_trees,) = struct.unpack_from("<I", payload, 1)
-        pos = 5
-        clf = RandomForest()
-        clf.trees = []
-        for _ in range(n_trees):
-            tree, pos = _decode_tree(payload, pos)
-            clf.trees.append(tree)
-        return clf
-    expected_tag = 12 if family == "boost_depthwise" else 13
-    if tag != expected_tag:
+def _decode_meta_classifier(family: str, payload: bytes, n_features: int):
+    (tag,), pos = _take(payload, 0, "<B")
+    if tag != _META_TAGS[family]:
         raise ManifestInvalid(f"meta family {family} has wrong tag {tag}")
-    base_score, learning_rate, n_trees = struct.unpack_from("<ddI", payload, 1)
-    pos = 1 + struct.calcsize("<ddI")
-    clf = GradientBoostedTrees(growth="depthwise" if tag == 12 else "leafwise")
-    clf.base_score = base_score
-    clf.learning_rate = learning_rate
+    if family == "logistic":
+        clf = LogisticMetaClassifier()
+        clf.coef, pos = _decode_array(payload, pos, n_features + 1)
+        return _done(payload, pos, clf)
+    if family == "random_forest":
+        clf = RandomForest()
+        (n_trees,), pos = _take(payload, pos, "<I")
+        if n_trees == 0:
+            raise ManifestInvalid("random forest has no trees")
+    else:
+        clf = GradientBoostedTrees(growth="depthwise" if family == "boost_depthwise" else "leafwise")
+        (clf.base_score, clf.learning_rate, n_trees), pos = _take(payload, pos, "<ddI")
     clf.trees = []
     for _ in range(n_trees):
         tree, pos = _decode_tree(payload, pos)
         clf.trees.append(tree)
-    return clf
+    if clf.trees:
+        _check_trees(clf.trees, n_features)
+    return _done(payload, pos, clf)
 
 
 # --- model bundles ---
@@ -302,6 +319,19 @@ def save_bundle(
         raise IoFailure(f"cannot write bundle manifest: {exc}") from exc
 
 
+def _field(manifest: dict, key: str, kind: type, default, item: Optional[type] = None):
+    """manifest[key] (or `default` when absent), which must be a `kind`
+    whose elements, if `item` is given, are each an `item`."""
+    value = manifest.get(key, default)
+    if (
+        not isinstance(value, kind)
+        or isinstance(value, bool)
+        or (item is not None and not all(isinstance(v, item) for v in value))
+    ):
+        raise ManifestInvalid(f"manifest {key} has the wrong type ({type(value).__name__})")
+    return value
+
+
 def load_bundle(path) -> tuple[BaseEnsemble, Optional[MetaEnsemble]]:
     root = Path(path)
     manifest_path = root / "manifest.json"
@@ -319,11 +349,13 @@ def load_bundle(path) -> tuple[BaseEnsemble, Optional[MetaEnsemble]]:
     if version != BUNDLE_FORMAT_VERSION:
         raise VersionUnsupported(f"bundle format version {version} unsupported")
 
-    scorer_files = manifest.get("scorer_files", [])
-    n_clusters = manifest.get("n_clusters")
+    n_clusters = _field(manifest, "n_clusters", int, None)
+    scorer_files = _field(manifest, "scorer_files", list, [], str)
     if n_clusters != len(scorer_files):
         raise ManifestInvalid(f"manifest N={n_clusters} but {len(scorer_files)} scorer files")
-    scorer_meta = manifest.get("scorer_meta") or [{} for _ in scorer_files]
+    scorer_meta = _field(manifest, "scorer_meta", list, [], dict) or [{} for _ in scorer_files]
+    if len(scorer_meta) != len(scorer_files):
+        raise ManifestInvalid(f"{len(scorer_meta)} scorer_meta entries for {len(scorer_files)} scorers")
     scorers = []
     for name, m in zip(scorer_files, scorer_meta):
         file_path = root / name
@@ -332,8 +364,10 @@ def load_bundle(path) -> tuple[BaseEnsemble, Optional[MetaEnsemble]]:
         scorers.append(_decode_scorer(_read_payload(file_path), m))
     base = BaseEnsemble(scorers=scorers, n_clusters=n_clusters)
 
-    families = manifest.get("meta_families", [])
-    meta_files = manifest.get("meta_files", [])
+    families = _field(manifest, "meta_families", list, [])
+    meta_files = _field(manifest, "meta_files", list, [], str)
+    holdout = _field(manifest, "meta_holdout_accuracy", dict, {})
+    seeds = _field(manifest, "seeds", dict, {})
     if not families:
         return base, None
     if tuple(families) != META_FAMILIES or len(meta_files) != len(families):
@@ -343,13 +377,5 @@ def load_bundle(path) -> tuple[BaseEnsemble, Optional[MetaEnsemble]]:
         file_path = root / name
         if not file_path.exists():
             raise ManifestInvalid(f"bundle missing meta file {name}")
-        classifiers.append(_decode_meta_classifier(family, _read_payload(file_path)))
-    seeds = manifest.get("seeds", {})
-    if not isinstance(seeds, dict):
-        raise ManifestInvalid(f"manifest seeds must be an object, got {seeds!r}")
-    meta = MetaEnsemble(
-        classifiers=classifiers,
-        holdout_accuracy=manifest.get("meta_holdout_accuracy", {}),
-        seed=seeds.get("meta") or 0,
-    )
-    return base, meta
+        classifiers.append(_decode_meta_classifier(family, _read_payload(file_path), n_clusters))
+    return base, MetaEnsemble(classifiers=classifiers, holdout_accuracy=holdout, seed=seeds.get("meta") or 0)

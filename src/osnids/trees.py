@@ -1,10 +1,11 @@
 """Decision-tree building blocks for the meta-classifier families.
 
 All trees share one flat node-array representation (feature == -1 marks a
-leaf), which keeps prediction vectorized and serialization trivial. Three
-builders exist: Gini CART for bagged forests, and two Newton-step boosting
-builders that differ only in growth order (level-by-level to a fixed depth
-versus best-gain leaf-wise under a leaf cap).
+leaf), which keeps prediction vectorized and serialization trivial. One
+second-order split finder serves every family, and two growers use it:
+depth-first to a fixed depth (the forest's Gini CARTs, as g = -y, h = 1,
+lambda = 0, and depthwise boosting) and best-first under a leaf cap
+(leafwise boosting).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _GAIN_TOL = 1e-12
+BOOST_LAMBDA = 1.0  # L2 penalty on boosted leaf weights
 
 
 @dataclass
@@ -75,82 +77,20 @@ def predict_tree(nodes: TreeNodes, X: np.ndarray) -> np.ndarray:
     return nodes.value[idx]
 
 
-# --- Gini CART (classification) ---
+# --- one split finder and two growers ---
 
 
-def _best_gini_split(X, y, feature_ids):
-    """Best (feature, threshold, impurity decrease) over candidate features."""
-    n = y.shape[0]
-    pos = y.sum()
-    p1 = pos / n
-    parent = 1.0 - p1 * p1 - (1.0 - p1) ** 2
-    best = None
-    for f in feature_ids:
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        valid = np.flatnonzero(xs[:-1] < xs[1:])
-        if valid.size == 0:
-            continue
-        pos_l = np.cumsum(y[order])[valid]
-        n_l = valid + 1.0
-        n_r = n - n_l
-        pos_r = pos - pos_l
-        gini_l = 1.0 - (pos_l / n_l) ** 2 - ((n_l - pos_l) / n_l) ** 2
-        gini_r = 1.0 - (pos_r / n_r) ** 2 - ((n_r - pos_r) / n_r) ** 2
-        decrease = parent - (n_l * gini_l + n_r * gini_r) / n
-        j = int(np.argmax(decrease))
-        if decrease[j] > _GAIN_TOL and (best is None or decrease[j] > best[0]):
-            thr = (xs[valid[j]] + xs[valid[j] + 1]) / 2.0
-            best = (float(decrease[j]), int(f), float(thr))
-    return best
+def _best_split(X, g, h, reg_lambda, feature_ids):
+    """Best (gain, feature, threshold) by the second-order gain over the
+    candidate features; None when nothing gains more than _GAIN_TOL.
 
-
-def build_gini_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    max_depth: int,
-    rng: np.random.Generator,
-    max_features: int,
-    min_samples_split: int = 2,
-) -> TreeNodes:
-    """CART with Gini impurity; leaf value is the class-1 fraction."""
-    n_features = X.shape[1]
-    builder = _Builder()
-
-    def grow(idx: np.ndarray, depth: int) -> int:
-        ysub = y[idx]
-        mean = float(ysub.mean())
-        if depth >= max_depth or idx.size < min_samples_split or mean in (0.0, 1.0):
-            return builder.add(mean)
-        if max_features < n_features:
-            feats = np.sort(rng.choice(n_features, size=max_features, replace=False))
-        else:
-            feats = np.arange(n_features)
-        best = _best_gini_split(X[idx], ysub, feats)
-        if best is None:
-            return builder.add(mean)
-        _, f, thr = best
-        node = builder.add()
-        go_left = X[idx, f] <= thr
-        left = grow(idx[go_left], depth + 1)
-        right = grow(idx[~go_left], depth + 1)
-        builder.make_split(node, f, thr, left, right)
-        return node
-
-    grow(np.arange(X.shape[0]), 0)
-    return builder.finish()
-
-
-# --- Newton boosting trees (regression on gradient/hessian) ---
-
-
-def _best_newton_split(X, g, h, reg_lambda):
-    """Best split by the usual second-order gain; None when nothing helps."""
+    Gini CART is the case g = -y, h = 1, reg_lambda = 0: its impurity
+    decrease is 4/n times this gain.
+    """
     G, H = g.sum(), h.sum()
     parent = G * G / (H + reg_lambda)
     best = None
-    for f in range(X.shape[1]):
+    for f in feature_ids:
         x = X[:, f]
         order = np.argsort(x, kind="stable")
         xs = x[order]
@@ -170,19 +110,31 @@ def _best_newton_split(X, g, h, reg_lambda):
 
 
 def _leaf_weight(g, h, reg_lambda) -> float:
-    return float(-g.sum() / (h.sum() + reg_lambda))
+    # (-g).sum(), not -g.sum(): an all-benign forest leaf must store +0.0
+    return float((-g).sum() / (h.sum() + reg_lambda))
 
 
-def build_boost_tree_depthwise(X, g, h, max_depth: int, reg_lambda: float = 1.0) -> TreeNodes:
-    """Grow level-by-level to a fixed depth, splitting while gain is positive."""
+def build_tree(X, g, h, max_depth: int, reg_lambda: float, rng=None, max_features=None) -> TreeNodes:
+    """Grow depth-first to a fixed depth, splitting while gain is positive.
+
+    A node whose gradient is constant is a leaf. With `max_features` below
+    the feature count, each split draws that many candidate features from
+    `rng`.
+    """
+    n_features = X.shape[1]
     builder = _Builder()
 
     def grow(idx: np.ndarray, depth: int) -> int:
-        if depth >= max_depth or idx.size < 2:
-            return builder.add(_leaf_weight(g[idx], h[idx], reg_lambda))
-        best = _best_newton_split(X[idx], g[idx], h[idx], reg_lambda)
+        gsub, hsub = g[idx], h[idx]
+        if depth >= max_depth or gsub.min() == gsub.max():
+            return builder.add(_leaf_weight(gsub, hsub, reg_lambda))
+        if max_features is not None and max_features < n_features:
+            feats = np.sort(rng.choice(n_features, size=max_features, replace=False))
+        else:
+            feats = range(n_features)
+        best = _best_split(X[idx], gsub, hsub, reg_lambda, feats)
         if best is None:
-            return builder.add(_leaf_weight(g[idx], h[idx], reg_lambda))
+            return builder.add(_leaf_weight(gsub, hsub, reg_lambda))
         _, f, thr = best
         node = builder.add()
         go_left = X[idx, f] <= thr
@@ -195,11 +147,12 @@ def build_boost_tree_depthwise(X, g, h, max_depth: int, reg_lambda: float = 1.0)
     return builder.finish()
 
 
-def build_boost_tree_leafwise(X, g, h, max_leaves: int, reg_lambda: float = 1.0) -> TreeNodes:
-    """Repeatedly split the leaf with the largest gain until the leaf cap."""
+def build_boost_tree_leafwise(X, g, h, max_leaves: int) -> TreeNodes:
+    """Grow best-first: repeatedly split the leaf with the largest gain
+    until the leaf cap."""
+    features = range(X.shape[1])
     builder = _Builder()
-    root_idx = np.arange(X.shape[0])
-    root = builder.add(_leaf_weight(g, h, reg_lambda))
+    root = builder.add(_leaf_weight(g, h, BOOST_LAMBDA))
 
     heap: list = []
     counter = 0
@@ -208,19 +161,19 @@ def build_boost_tree_leafwise(X, g, h, max_leaves: int, reg_lambda: float = 1.0)
         nonlocal counter
         if idx.size < 2:
             return
-        best = _best_newton_split(X[idx], g[idx], h[idx], reg_lambda)
+        best = _best_split(X[idx], g[idx], h[idx], BOOST_LAMBDA, features)
         if best is not None:
             heapq.heappush(heap, (-best[0], counter, node, idx, best[1], best[2]))
             counter += 1
 
-    offer(root, root_idx)
+    offer(root, np.arange(X.shape[0]))
     n_leaves = 1
     while heap and n_leaves < max_leaves:
         _, _, node, idx, f, thr = heapq.heappop(heap)
         go_left = X[idx, f] <= thr
         left_idx, right_idx = idx[go_left], idx[~go_left]
-        left = builder.add(_leaf_weight(g[left_idx], h[left_idx], reg_lambda))
-        right = builder.add(_leaf_weight(g[right_idx], h[right_idx], reg_lambda))
+        left = builder.add(_leaf_weight(g[left_idx], h[left_idx], BOOST_LAMBDA))
+        right = builder.add(_leaf_weight(g[right_idx], h[right_idx], BOOST_LAMBDA))
         builder.make_split(node, f, thr, left, right)
         n_leaves += 1
         offer(left, left_idx)
@@ -250,7 +203,7 @@ class RandomForest:
         for _ in range(self.n_trees):
             boot = rng.integers(0, n, size=n)
             self.trees.append(
-                build_gini_tree(X[boot], y[boot], self.max_depth, rng, max_features)
+                build_tree(X[boot], -y[boot], np.ones(n), self.max_depth, 0.0, rng, max_features)
             )
         return self
 
@@ -268,7 +221,6 @@ class GradientBoostedTrees:
     learning_rate: float = 0.1
     max_depth: int = 3
     max_leaves: int = 15
-    reg_lambda: float = 1.0
     base_score: float = 0.0
     trees: list[TreeNodes] = field(default_factory=list)
 
@@ -284,9 +236,9 @@ class GradientBoostedTrees:
             g = p - y
             h = np.maximum(p * (1.0 - p), 1e-12)
             if self.growth == "depthwise":
-                tree = build_boost_tree_depthwise(X, g, h, self.max_depth, self.reg_lambda)
+                tree = build_tree(X, g, h, self.max_depth, BOOST_LAMBDA)
             else:
-                tree = build_boost_tree_leafwise(X, g, h, self.max_leaves, self.reg_lambda)
+                tree = build_boost_tree_leafwise(X, g, h, self.max_leaves)
             self.trees.append(tree)
             F = F + self.learning_rate * predict_tree(tree, X)
         return self

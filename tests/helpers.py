@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import itertools
 import struct
+import zlib
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -82,6 +85,40 @@ def build_pcap(
     return out
 
 
+# --- hostile model bundles ---
+
+
+def rewrite_parameter_file(path, mutate) -> None:
+    """Replace a bundle parameter file's payload by `mutate(payload)`, with
+    the length and CRC32 recomputed so only the decoder can object."""
+    path = Path(path)
+    payload = mutate(path.read_bytes()[4:-4])
+    path.write_bytes(struct.pack("<I", len(payload)) + payload + struct.pack("<I", zlib.crc32(payload)))
+
+
+def _declare_count(payload: bytes, count: int) -> bytes:
+    # bytes 1-4 hold a scorer's value count or a forest's tree count
+    return payload[:1] + struct.pack("<I", count) + payload[5:]
+
+
+def _cycle_first_tree(payload: bytes) -> bytes:
+    """Point both children of a boosted family's first root back at it."""
+    (n,) = struct.unpack_from("<I", payload, 21)  # after tag, base score, rate, tree count
+    assert struct.unpack_from("<i", payload, 25)[0] >= 0, "the first root must be a split"
+    out = bytearray(payload)
+    for offset in (25 + 12 * n, 25 + 16 * n):  # left[0], right[0]
+        out[offset : offset + 4] = struct.pack("<i", 0)
+    return bytes(out)
+
+
+# name -> (parameter file, payload mutation); each must load as ManifestInvalid
+HOSTILE_PARAMETER_FILES = {
+    "scorer_declares_1e6_floats": ("base_000.bin", lambda p: _declare_count(p, 10**6)),
+    "forest_declares_1e6_trees": ("meta_random_forest.bin", lambda p: _declare_count(p, 10**6)),
+    "boosted_tree_cycle": ("meta_boost_depthwise.bin", _cycle_first_tree),
+}
+
+
 # --- brute-force oracles ---
 
 
@@ -110,6 +147,98 @@ def sset_oracle(blob: bytes):
     assert pos == len(blob)
     return names, features, labels, clusters
 
+
+
+def gini_split_oracle(X, y, feature_ids):
+    """Best (impurity decrease, feature, threshold) over candidate features,
+    by the Gini impurity formula itself."""
+    n = y.shape[0]
+    pos = y.sum()
+    p1 = pos / n
+    parent = 1.0 - p1 * p1 - (1.0 - p1) ** 2
+    best = None
+    for f in feature_ids:
+        x = X[:, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        valid = np.flatnonzero(xs[:-1] < xs[1:])
+        if valid.size == 0:
+            continue
+        pos_l = np.cumsum(y[order])[valid]
+        n_l = valid + 1.0
+        n_r = n - n_l
+        pos_r = pos - pos_l
+        gini_l = 1.0 - (pos_l / n_l) ** 2 - ((n_l - pos_l) / n_l) ** 2
+        gini_r = 1.0 - (pos_r / n_r) ** 2 - ((n_r - pos_r) / n_r) ** 2
+        decrease = parent - (n_l * gini_l + n_r * gini_r) / n
+        j = int(np.argmax(decrease))
+        if decrease[j] > 1e-12 and (best is None or decrease[j] > best[0]):
+            thr = (xs[valid[j]] + xs[valid[j] + 1]) / 2.0
+            best = (float(decrease[j]), int(f), float(thr))
+    return best
+
+
+def gini_tree_oracle(X, y, max_depth, rng, max_features):
+    """Gini CART, depth-first: leaves hold the class-1 fraction, pure nodes
+    are leaves, and each split draws its candidate features from `rng`.
+    Returns the node arrays (feature, threshold, left, right, value)."""
+    n_features = X.shape[1]
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(idx, depth):
+        ysub = y[idx]
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(ysub.mean()))
+        if depth >= max_depth or idx.size < 2 or value[node] in (0.0, 1.0):
+            return node
+        if max_features < n_features:
+            feats = np.sort(rng.choice(n_features, size=max_features, replace=False))
+        else:
+            feats = np.arange(n_features)
+        best = gini_split_oracle(X[idx], ysub, feats)
+        if best is None:
+            return node
+        _, f, thr = best
+        go_left = X[idx, f] <= thr
+        feature[node], threshold[node], value[node] = f, thr, 0.0
+        left[node] = grow(idx[go_left], depth + 1)
+        right[node] = grow(idx[~go_left], depth + 1)
+        return node
+
+    grow(np.arange(X.shape[0]), 0)
+    return (
+        np.array(feature, dtype=np.int32),
+        np.array(threshold, dtype=np.float64),
+        np.array(left, dtype=np.int32),
+        np.array(right, dtype=np.int32),
+        np.array(value, dtype=np.float64),
+    )
+
+
+def gini_best_splits(X, y, feature_ids) -> set:
+    """Every (feature, threshold) whose Gini impurity decrease, in exact
+    rational arithmetic, is the largest positive one; empty when no split
+    decreases impurity. Thresholds are midpoints of adjacent distinct values."""
+    y = y.astype(np.int64)
+    n, pos = y.size, int(y.sum())
+    best, found = Fraction(pos * pos, n), set()
+    for f in feature_ids:
+        values = np.unique(X[:, f])
+        for lo, hi in zip(values[:-1], values[1:]):
+            thr = float((lo + hi) / 2.0)
+            left = X[:, f] <= thr
+            n_l, pos_l = int(left.sum()), int(y[left].sum())
+            # the decrease is (2 / n) * (score - pos^2 / n)
+            score = Fraction(pos_l * pos_l, n_l) + Fraction((pos - pos_l) ** 2, n - n_l)
+            if score > best:
+                best, found = score, {(int(f), thr)}
+            elif score == best and found:
+                found.add((int(f), thr))
+    return found
 
 
 def join_oracle(packets, flows, benign_label="BENIGN"):

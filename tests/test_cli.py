@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from osnids.cli import main
 from osnids.config import default_config
 from osnids.meta import META_FAMILIES
+
+from helpers import HOSTILE_PARAMETER_FILES, rewrite_parameter_file
 
 
 def _small_config(workdir) -> dict:
@@ -316,6 +319,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_PARAMETER_FILES) + ["scorer_meta_not_a_list"])
+    def test_predict_hostile_bundle_is_format_error(self, finished_run, tmp_path, case):
+        """In a child process, so a decoder that loops forever fails the test."""
+        import shutil
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import osnids
+
+        _, workdir, _, _ = finished_run
+        bundle = tmp_path / "bundle"
+        shutil.copytree(workdir / "bundle", bundle)
+        if case in HOSTILE_PARAMETER_FILES:
+            name, mutate = HOSTILE_PARAMETER_FILES[case]
+            rewrite_parameter_file(bundle / name, mutate)
+        else:
+            manifest = json.loads((bundle / "manifest.json").read_text())
+            manifest["scorer_meta"] = 5
+            (bundle / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["predict", "--bundle", str(bundle), "--samples", str(workdir / "d3.sset"),
+                "--out", str(tmp_path / "v.csv")]
+        src = str(Path(osnids.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from osnids.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
     def test_seed_override_changes_run(self, finished_run, tmp_path):
         _, workdir, cfg, _ = finished_run

@@ -26,7 +26,7 @@ from osnids.persistence import (
 )
 from osnids.samples import SampleSet, make_records
 
-from helpers import sset_oracle
+from helpers import HOSTILE_PARAMETER_FILES, rewrite_parameter_file, sset_oracle
 
 
 def _rows(rng, n):
@@ -270,3 +270,97 @@ class TestBundleRoundTrip:
         manifest.write_text(json.dumps(data))
         with pytest.raises(ManifestInvalid):
             load_bundle(tmp_path / "b6")
+
+
+def _set_int32(offset: int, value: int):
+    return lambda p: p[:offset] + struct.pack("<i", value) + p[offset + 4 :]
+
+
+# more CRC-valid parameter files the decoder must refuse; N = 2 here
+_MALFORMED_PARAMETER_FILES = {
+    **HOSTILE_PARAMETER_FILES,
+    "empty_payload": ("base_001.bin", lambda p: b""),
+    "scorer_short_by_one_value": ("base_000.bin", lambda p: _set_int32(1, 1500)(p)[:-8]),
+    "logistic_scorer_tagged_convnet": ("base_000.bin", lambda p: b"\x02" + p[1:]),
+    "meta_logistic_n_coefficients": ("meta_logistic.bin", lambda p: _set_int32(1, 2)(p)[:-8]),
+    "forest_without_trees": ("meta_random_forest.bin", lambda p: p[:1] + struct.pack("<I", 0)),
+    "tree_feature_n": ("meta_random_forest.bin", _set_int32(9, 2)),  # first tree's feature[0]
+    "tree_without_nodes": ("meta_boost_leafwise.bin", _set_int32(21, 0)),
+    "trailing_byte": ("meta_boost_leafwise.bin", lambda p: p + b"\x00"),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_bundle(tmp_path_factory, trained_pair):
+    """A saved bundle directory and the original bytes of its files."""
+    root = tmp_path_factory.mktemp("saved") / "bundle"
+    base, meta, _ = trained_pair
+    save_bundle(base, meta, root)
+    return root, {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+def _restore(root, originals):
+    for name, blob in originals.items():
+        (root / name).write_bytes(blob)
+
+
+class TestHostileBundles:
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_PARAMETER_FILES))
+    def test_malformed_parameter_file(self, saved_bundle, case):
+        root, originals = saved_bundle
+        name, mutate = _MALFORMED_PARAMETER_FILES[case]
+        rewrite_parameter_file(root / name, mutate)
+        try:
+            with pytest.raises(ManifestInvalid) as info:
+                load_bundle(root)
+        finally:
+            _restore(root, originals)
+        assert info.value.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_clusters", "2"),
+            ("n_clusters", 2.0),
+            ("scorer_files", "base_000.bin"),
+            ("scorer_files", [0, 1]),
+            ("scorer_meta", 5),
+            ("scorer_meta", [1, 2]),
+            ("scorer_meta", [{}]),
+            ("meta_families", "logistic"),
+            ("meta_files", {"logistic": "meta_logistic.bin"}),
+            ("meta_files", [1, 2, 3, 4]),
+            ("meta_holdout_accuracy", [0.9]),
+        ],
+    )
+    def test_manifest_field_of_wrong_type(self, saved_bundle, key, value):
+        root, originals = saved_bundle
+        data = json.loads(originals["manifest.json"])
+        data[key] = value
+        (root / "manifest.json").write_text(json.dumps(data))
+        try:
+            with pytest.raises(ManifestInvalid):
+                load_bundle(root)
+        finally:
+            _restore(root, originals)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_parameter_file_is_bundle_or_pipeline_error(self, saved_bundle, trained_pair, data):
+        root, originals = saved_bundle
+        name = data.draw(st.sampled_from(sorted(n for n in originals if n.endswith(".bin"))), label="file")
+        payload = bytearray(originals[name][4:-4])
+        # half the draws land in the first 64 bytes: tags, counts and the first tree's header
+        head = st.integers(0, min(64, len(payload)) - 1)
+        pos = data.draw(st.one_of(head, st.integers(0, len(payload) - 1)), label="offset")
+        payload[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != payload[pos]), label="byte")
+        rewrite_parameter_file(root / name, lambda _: bytes(payload))
+        try:
+            base, meta = load_bundle(root)
+        except PipelineError:
+            return
+        finally:
+            _restore(root, originals)
+        with np.errstate(over="ignore", invalid="ignore"):  # mutated weights may overflow
+            verdicts, mf = predict_batch(base, meta, trained_pair[2][:2])
+        assert len(verdicts) == 2 and mf.shape == (2, 2)

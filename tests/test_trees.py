@@ -1,13 +1,15 @@
 import numpy as np
+import pytest
 
 from osnids.trees import (
     GradientBoostedTrees,
     RandomForest,
-    build_boost_tree_depthwise,
     build_boost_tree_leafwise,
-    build_gini_tree,
+    build_tree,
     predict_tree,
 )
+
+from helpers import gini_best_splits, gini_tree_oracle
 
 
 def _xor_free_data(rng, n=200):
@@ -17,18 +19,23 @@ def _xor_free_data(rng, n=200):
     return X, y
 
 
+def gini_tree(X, y, max_depth, rng, max_features):
+    """The forest's CART: the second-order tree with g = -y, h = 1, lambda = 0."""
+    return build_tree(X, -y, np.ones(len(y)), max_depth, 0.0, rng, max_features)
+
+
 class TestGiniTree:
     def test_perfect_split_on_separable_data(self):
         rng = np.random.default_rng(0)
         X, y = _xor_free_data(rng)
-        tree = build_gini_tree(X, y, max_depth=3, rng=rng, max_features=4)
+        tree = gini_tree(X, y, max_depth=3, rng=rng, max_features=4)
         assert ((predict_tree(tree, X) >= 0.5) == (y == 1)).all()
 
     def test_pure_node_becomes_leaf(self):
         rng = np.random.default_rng(1)
         X = rng.random((20, 3))
         y = np.ones(20)
-        tree = build_gini_tree(X, y, max_depth=5, rng=rng, max_features=3)
+        tree = gini_tree(X, y, max_depth=5, rng=rng, max_features=3)
         assert len(tree) == 1
         assert tree.feature[0] == -1 and tree.value[0] == 1.0
 
@@ -36,7 +43,7 @@ class TestGiniTree:
         rng = np.random.default_rng(2)
         X = rng.random((300, 3))
         y = rng.integers(0, 2, 300).astype(float)
-        tree = build_gini_tree(X, y, max_depth=2, rng=rng, max_features=3)
+        tree = gini_tree(X, y, max_depth=2, rng=rng, max_features=3)
         # depth 2 allows at most 3 internal + 4 leaf nodes
         assert len(tree) <= 7
 
@@ -44,7 +51,7 @@ class TestGiniTree:
         rng = np.random.default_rng(3)
         X = np.ones((30, 2))
         y = rng.integers(0, 2, 30).astype(float)
-        tree = build_gini_tree(X, y, max_depth=4, rng=rng, max_features=2)
+        tree = gini_tree(X, y, max_depth=4, rng=rng, max_features=2)
         assert len(tree) == 1
 
 
@@ -54,7 +61,7 @@ class TestBoostTreeBuilders:
         X = rng.random((300, 5))
         g = rng.normal(0, 1, 300)
         h = np.full(300, 0.25)
-        tree = build_boost_tree_depthwise(X, g, h, max_depth=3)
+        tree = build_tree(X, g, h, max_depth=3, reg_lambda=1.0)
         # depth-3 binary tree: <= 7 internal + 8 leaves
         assert len(tree) <= 15
         assert (tree.feature >= -1).all()
@@ -72,7 +79,7 @@ class TestBoostTreeBuilders:
         X = np.zeros((10, 1))  # unsplittable: single leaf
         g = np.arange(10, dtype=float)
         h = np.full(10, 0.5)
-        tree = build_boost_tree_depthwise(X, g, h, max_depth=3, reg_lambda=1.0)
+        tree = build_tree(X, g, h, max_depth=3, reg_lambda=1.0)
         assert len(tree) == 1
         assert tree.value[0] == -g.sum() / (h.sum() + 1.0)
 
@@ -98,6 +105,79 @@ class TestRandomForest:
         y = rng.integers(0, 2, 100).astype(float)
         proba = RandomForest(n_trees=15, seed=1).fit(X, y).predict_proba(X)
         assert proba.min() >= 0.0 and proba.max() <= 1.0
+
+
+def _check_forest_against_gini_definition(forest, X, y, seed):
+    """Replay the forest's bootstrap and feature draws, node by node in
+    depth-first order, against the Gini CART definition: a node at the depth
+    limit or with one class is a leaf holding the class-1 fraction (+0.0 when
+    there is none); any other node splits at a best exact-Gini split of the
+    drawn features, or is a leaf when no split decreases impurity. Exact ties
+    may go to any of the tied splits."""
+    n, d = X.shape
+    max_features = max(1, int(round(np.sqrt(d))))
+    rng = np.random.default_rng(seed)
+    for tree in forest.trees:
+        boot = rng.integers(0, n, size=n)
+        Xb, yb = X[boot], y[boot]
+        next_id = 0
+
+        def walk(idx, depth):
+            nonlocal next_id
+            node, next_id = next_id, next_id + 1
+            ysub = yb[idx]
+            leaf = tree.feature[node] == -1
+            if depth >= forest.max_depth or ysub.min() == ysub.max():
+                best = set()
+            else:
+                if max_features < d:
+                    feats = np.sort(rng.choice(d, size=max_features, replace=False))
+                else:
+                    feats = range(d)
+                best = gini_best_splits(Xb[idx], ysub, feats)
+            if not best:
+                assert leaf and tree.value[node].tobytes() == np.float64(ysub.mean()).tobytes()
+                return
+            f, thr = int(tree.feature[node]), float(tree.threshold[node])
+            assert (f, thr) in best
+            assert tree.value[node].tobytes() == np.float64(0.0).tobytes()
+            go_left = Xb[idx, f] <= thr
+            assert tree.left[node] == next_id
+            walk(idx[go_left], depth + 1)
+            assert tree.right[node] == next_id
+            walk(idx[~go_left], depth + 1)
+
+        walk(np.arange(n), 0)
+        assert next_id == len(tree)
+
+
+def _forest_data(seed):
+    """Small sets whose nodes tie often: repeated x values, and a region
+    whose labels are all 0 so pure and all-zero-label nodes are common."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(20, 150)), int(rng.integers(1, 6))
+    X = rng.integers(0, 5, (n, d)) / 4.0 if seed % 2 else np.round(rng.random((n, d)), 2)
+    y = (rng.random(n) < rng.random()).astype(float)
+    y[X[:, 0] > 0.7] = 0.0
+    return X, y
+
+
+class TestForestAgainstGiniOracle:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_node_follows_gini_definition(self, seed):
+        X, y = _forest_data(seed)
+        forest = RandomForest(n_trees=4, max_depth=1 + seed % 8, seed=seed).fit(X, y)
+        _check_forest_against_gini_definition(forest, X, y, seed)
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_one_class_tree_equals_moved_oracle(self, label):
+        rng = np.random.default_rng(12)
+        X = rng.integers(0, 3, (40, 3)) / 2.0
+        y = np.full(40, label)
+        tree = gini_tree(X, y, 5, np.random.default_rng(0), 2)
+        expected = gini_tree_oracle(X, y, 5, np.random.default_rng(0), 2)
+        got = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
 
 
 class TestGradientBoostedTrees:
