@@ -50,9 +50,12 @@ class EmbeddingParams:
             raise InvalidRange(f"iterations must be >= 250, got {self.iterations}")
 
 
-def _squared_distances(X: np.ndarray) -> np.ndarray:
+def _squared_distances(X: np.ndarray, out=None, work=None) -> np.ndarray:
     sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    work = np.matmul(X, X.T, out=work)
+    work *= 2.0
+    d2 = np.add(sq[:, None], sq[None, :], out=out)
+    d2 -= work
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
@@ -105,6 +108,15 @@ def _kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
     return float(np.sum(P[mask] * np.log(P[mask] / np.maximum(Q[mask], _EPS))))
 
 
+def _student_t(Y: np.ndarray, num: np.ndarray, Q: np.ndarray) -> None:
+    """In place: num = 1 / (1 + |y_i - y_j|^2) off the diagonal, 0 on it; Q = num / num.sum()."""
+    _squared_distances(Y, out=num, work=Q)
+    num += 1.0
+    np.divide(1.0, num, out=num)
+    np.fill_diagonal(num, 0.0)
+    np.divide(num, num.sum(), out=Q)
+
+
 def tsne_embed(X, params: EmbeddingParams, return_trace: bool = False):
     """Embed an (n, d) matrix into 2-D with exact t-SNE.
 
@@ -129,19 +141,18 @@ def tsne_embed(X, params: EmbeddingParams, return_trace: bool = False):
     velocity = np.zeros_like(Y)
     gains = np.ones_like(Y)
 
+    P_exaggerated = P * params.early_exaggeration
+    num, work = np.empty((n, n)), np.empty((n, n))  # the loop allocates no n x n array
     kl_trace: list[float] = []
     for it in range(params.iterations):
         exaggerating = it < params.exaggeration_iters
-        P_eff = P * params.early_exaggeration if exaggerating else P
+        P_eff = P_exaggerated if exaggerating else P
         momentum = params.momentum_early if it < params.momentum_switch_iter else params.momentum_late
 
-        d2 = _squared_distances(Y)
-        num = 1.0 / (1.0 + d2)
-        np.fill_diagonal(num, 0.0)
-        Q = num / num.sum()
-
-        PQn = (P_eff - Q) * num
-        grad = 4.0 * (PQn.sum(axis=1)[:, None] * Y - PQn @ Y)
+        _student_t(Y, num, work)  # work = Q
+        np.subtract(P_eff, work, out=work)
+        work *= num
+        grad = 4.0 * (work.sum(axis=1)[:, None] * Y - work @ Y)
 
         inc = (grad > 0) != (velocity > 0)
         gains[inc] += 0.2
@@ -151,11 +162,9 @@ def tsne_embed(X, params: EmbeddingParams, return_trace: bool = False):
         Y += velocity
         Y -= Y.mean(axis=0)
 
-        if not exaggerating and (it + 1 - params.exaggeration_iters) % 50 == 0:
-            d2 = _squared_distances(Y)
-            num = 1.0 / (1.0 + d2)
-            np.fill_diagonal(num, 0.0)
-            kl_trace.append(_kl_divergence(P, num / num.sum()))
+        if return_trace and not exaggerating and (it + 1 - params.exaggeration_iters) % 50 == 0:
+            _student_t(Y, num, work)
+            kl_trace.append(_kl_divergence(P, work))
 
     if not np.all(np.isfinite(Y)):
         raise NonFiniteInput("t-SNE diverged to non-finite coordinates")

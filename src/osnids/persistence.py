@@ -161,13 +161,19 @@ def _encode_array(arr: np.ndarray) -> bytes:
     return struct.pack("<I", arr.size) + data
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ManifestInvalid("parameter file holds a non-finite value")
+    return values
+
+
 def _decode_array(payload: bytes, pos: int, expected: int) -> tuple[np.ndarray, int]:
     (size,), pos = _take(payload, pos, "<I")
     if size != expected:
         raise ManifestInvalid(f"parameter array holds {size} values, expected {expected}")
     if pos + 8 * size > len(payload):
         raise ManifestInvalid("parameter array runs past the payload's end")
-    return np.frombuffer(payload, dtype="<f8", count=size, offset=pos).copy(), pos + 8 * size
+    return _finite(np.frombuffer(payload, dtype="<f8", count=size, offset=pos).copy()), pos + 8 * size
 
 
 def _encode_scorer(scorer: BinaryScorer) -> bytes:
@@ -206,16 +212,20 @@ def _decode_tree(payload: bytes, pos: int) -> tuple[TreeNodes, int]:
 def _check_trees(trees: list[TreeNodes], n_features: int) -> None:
     """Every node is a leaf (feature -1) or splits on a feature in
     [0, n_features) with both children after it in its tree, so every
-    route ends at a leaf. One vectorized pass over all the trees."""
+    route ends at a leaf, and every threshold and value is finite. One
+    vectorized pass over all the trees."""
     sizes = [len(t) for t in trees]
     n = np.repeat(sizes, sizes)
     i = np.arange(n.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    feature, left, right = (
-        np.concatenate([getattr(t, name) for t in trees]) for name in ("feature", "left", "right")
+    feature, left, right, threshold, value = (
+        np.concatenate([getattr(t, name) for t in trees])
+        for name in ("feature", "left", "right", "threshold", "value")
     )
     split_ok = (feature >= 0) & (feature < n_features) & (left > i) & (left < n) & (right > i) & (right < n)
     if not ((feature == -1) | split_ok).all():
         raise ManifestInvalid("tree node arrays do not form trees")
+    _finite(threshold)
+    _finite(value)
 
 
 def _encode_meta_classifier(family: str, clf) -> bytes:
@@ -247,6 +257,7 @@ def _decode_meta_classifier(family: str, payload: bytes, n_features: int):
     else:
         clf = GradientBoostedTrees(growth="depthwise" if family == "boost_depthwise" else "leafwise")
         (clf.base_score, clf.learning_rate, n_trees), pos = _take(payload, pos, "<ddI")
+        _finite(np.array([clf.base_score, clf.learning_rate]))
     clf.trees = []
     for _ in range(n_trees):
         tree, pos = _decode_tree(payload, pos)
@@ -362,6 +373,8 @@ def load_bundle(path) -> tuple[BaseEnsemble, Optional[MetaEnsemble]]:
         if not file_path.exists():
             raise ManifestInvalid(f"bundle missing scorer file {name}")
         scorers.append(_decode_scorer(_read_payload(file_path), m))
+    if "scorer_kinds" in manifest and manifest["scorer_kinds"] != [s.kind for s in scorers]:
+        raise ManifestInvalid("manifest scorer_kinds do not match the scorer files' kind tags")
     base = BaseEnsemble(scorers=scorers, n_clusters=n_clusters)
 
     families = _field(manifest, "meta_families", list, [])

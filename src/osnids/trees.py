@@ -2,10 +2,10 @@
 
 All trees share one flat node-array representation (feature == -1 marks a
 leaf), which keeps prediction vectorized and serialization trivial. One
-second-order split finder serves every family, and two growers use it:
-depth-first to a fixed depth (the forest's Gini CARTs, as g = -y, h = 1,
-lambda = 0, and depthwise boosting) and best-first under a leaf cap
-(leafwise boosting).
+second-order split finder serves every family, on columns sorted once per
+tree fit (once per boosting fit), and two growers use it: depth-first to a
+fixed depth (the forest's Gini CARTs, as g = -y, h = 1, lambda = 0, and
+depthwise boosting) and best-first under a leaf cap (leafwise boosting).
 """
 
 from __future__ import annotations
@@ -80,33 +80,35 @@ def predict_tree(nodes: TreeNodes, X: np.ndarray) -> np.ndarray:
 # --- one split finder and two growers ---
 
 
-def _best_split(X, g, h, reg_lambda, feature_ids):
+def _best_split(X, order, idx, g, h, reg_lambda, feature_ids):
     """Best (gain, feature, threshold) by the second-order gain over the
     candidate features; None when nothing gains more than _GAIN_TOL.
+
+    `order[f]` is X's stable argsort by feature f and `idx` the node's rows
+    (two or more), ascending, so `order[f]` filtered to the node is the node's
+    stable sort. One (k, m) pass scores all candidates; ties score -inf.
 
     Gini CART is the case g = -y, h = 1, reg_lambda = 0: its impurity
     decrease is 4/n times this gain.
     """
-    G, H = g.sum(), h.sum()
+    G, H = g[idx].sum(), h[idx].sum()
     parent = G * G / (H + reg_lambda)
-    best = None
-    for f in feature_ids:
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        valid = np.flatnonzero(xs[:-1] < xs[1:])
-        if valid.size == 0:
-            continue
-        G_l = np.cumsum(g[order])[valid]
-        H_l = np.cumsum(h[order])[valid]
-        gain = 0.5 * (
-            G_l**2 / (H_l + reg_lambda) + (G - G_l) ** 2 / (H - H_l + reg_lambda) - parent
-        )
-        j = int(np.argmax(gain))
-        if gain[j] > _GAIN_TOL and (best is None or gain[j] > best[0]):
-            thr = (xs[valid[j]] + xs[valid[j] + 1]) / 2.0
-            best = (float(gain[j]), int(f), float(thr))
-    return best
+    feats = np.asarray(feature_ids)
+    member = np.zeros(X.shape[0], dtype=bool)
+    member[idx] = True
+    cols = order[feats]
+    rows = np.extract(member[cols], cols).reshape(feats.size, idx.size)  # a third of cols[mask]'s time
+    xs = X[rows, feats[:, None]]
+    G_l = np.cumsum(g[rows], axis=1)[:, :-1]
+    H_l = np.cumsum(h[rows], axis=1)[:, :-1]
+    gain = 0.5 * (G_l**2 / (H_l + reg_lambda) + (G - G_l) ** 2 / (H - H_l + reg_lambda) - parent)
+    gain = np.where(xs[:, :-1] < xs[:, 1:], gain, -np.inf)
+    top = gain.max(axis=1)
+    f = int(top.argmax())  # the first feature holding the top gain
+    if not top[f] > _GAIN_TOL:
+        return None
+    j = int(gain[f].argmax())
+    return float(top[f]), int(feats[f]), float((xs[f, j] + xs[f, j + 1]) / 2.0)
 
 
 def _leaf_weight(g, h, reg_lambda) -> float:
@@ -114,14 +116,15 @@ def _leaf_weight(g, h, reg_lambda) -> float:
     return float((-g).sum() / (h.sum() + reg_lambda))
 
 
-def build_tree(X, g, h, max_depth: int, reg_lambda: float, rng=None, max_features=None) -> TreeNodes:
+def build_tree(X, g, h, max_depth: int, reg_lambda: float, rng=None, max_features=None, order=None) -> TreeNodes:
     """Grow depth-first to a fixed depth, splitting while gain is positive.
 
     A node whose gradient is constant is a leaf. With `max_features` below
     the feature count, each split draws that many candidate features from
-    `rng`.
+    `rng`. `order` is X's stable per-feature argsort, made here when not given.
     """
     n_features = X.shape[1]
+    order = np.argsort(X.T, axis=1, kind="stable") if order is None else order
     builder = _Builder()
 
     def grow(idx: np.ndarray, depth: int) -> int:
@@ -132,7 +135,7 @@ def build_tree(X, g, h, max_depth: int, reg_lambda: float, rng=None, max_feature
             feats = np.sort(rng.choice(n_features, size=max_features, replace=False))
         else:
             feats = range(n_features)
-        best = _best_split(X[idx], gsub, hsub, reg_lambda, feats)
+        best = _best_split(X, order, idx, g, h, reg_lambda, feats)
         if best is None:
             return builder.add(_leaf_weight(gsub, hsub, reg_lambda))
         _, f, thr = best
@@ -147,10 +150,11 @@ def build_tree(X, g, h, max_depth: int, reg_lambda: float, rng=None, max_feature
     return builder.finish()
 
 
-def build_boost_tree_leafwise(X, g, h, max_leaves: int) -> TreeNodes:
+def build_boost_tree_leafwise(X, g, h, max_leaves: int, order=None) -> TreeNodes:
     """Grow best-first: repeatedly split the leaf with the largest gain
-    until the leaf cap."""
+    until the leaf cap. `order` is as for `build_tree`."""
     features = range(X.shape[1])
+    order = np.argsort(X.T, axis=1, kind="stable") if order is None else order
     builder = _Builder()
     root = builder.add(_leaf_weight(g, h, BOOST_LAMBDA))
 
@@ -161,7 +165,7 @@ def build_boost_tree_leafwise(X, g, h, max_leaves: int) -> TreeNodes:
         nonlocal counter
         if idx.size < 2:
             return
-        best = _best_split(X[idx], g[idx], h[idx], BOOST_LAMBDA, features)
+        best = _best_split(X, order, idx, g, h, BOOST_LAMBDA, features)
         if best is not None:
             heapq.heappush(heap, (-best[0], counter, node, idx, best[1], best[2]))
             counter += 1
@@ -230,15 +234,16 @@ class GradientBoostedTrees:
         prior = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
         self.base_score = float(np.log(prior / (1.0 - prior)))
         F = np.full(X.shape[0], self.base_score)
+        order = np.argsort(X.T, axis=1, kind="stable")  # X is fixed for the whole fit
         self.trees = []
         for _ in range(self.rounds):
             p = 1.0 / (1.0 + np.exp(-F))
             g = p - y
             h = np.maximum(p * (1.0 - p), 1e-12)
             if self.growth == "depthwise":
-                tree = build_tree(X, g, h, self.max_depth, BOOST_LAMBDA)
+                tree = build_tree(X, g, h, self.max_depth, BOOST_LAMBDA, order=order)
             else:
-                tree = build_boost_tree_leafwise(X, g, h, self.max_leaves)
+                tree = build_boost_tree_leafwise(X, g, h, self.max_leaves, order)
             self.trees.append(tree)
             F = F + self.learning_rate * predict_tree(tree, X)
         return self

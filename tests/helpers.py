@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from osnids import learners
+from osnids import clustering, learners
 
 # --- pcap fixture construction ---
 
@@ -111,11 +111,25 @@ def _cycle_first_tree(payload: bytes) -> bytes:
     return bytes(out)
 
 
+def _nan_first_coefficient(payload: bytes) -> bytes:
+    # bytes 5-12 hold the first value, after the tag and the value count
+    return payload[:5] + struct.pack("<d", float("nan")) + payload[13:]
+
+
+def _inf_first_threshold(payload: bytes) -> bytes:
+    """Set a forest's first root threshold to +inf."""
+    (n,) = struct.unpack_from("<I", payload, 5)  # after tag and tree count
+    at = 9 + 4 * n  # threshold[0] follows the n features
+    return payload[:at] + struct.pack("<d", float("inf")) + payload[at + 8 :]
+
+
 # name -> (parameter file, payload mutation); each must load as ManifestInvalid
 HOSTILE_PARAMETER_FILES = {
     "scorer_declares_1e6_floats": ("base_000.bin", lambda p: _declare_count(p, 10**6)),
     "forest_declares_1e6_trees": ("meta_random_forest.bin", lambda p: _declare_count(p, 10**6)),
     "boosted_tree_cycle": ("meta_boost_depthwise.bin", _cycle_first_tree),
+    "meta_logistic_nan_coefficient": ("meta_logistic.bin", _nan_first_coefficient),
+    "forest_inf_threshold": ("meta_random_forest.bin", _inf_first_threshold),
 }
 
 
@@ -147,6 +161,80 @@ def sset_oracle(blob: bytes):
     assert pos == len(blob)
     return names, features, labels, clusters
 
+
+def split_oracle(X, g, h, reg_lambda, feature_ids):
+    """Best (gain, feature, threshold) by the second-order gain, on a node's
+    own rows: each candidate feature is argsorted afresh, and features are
+    scanned one by one. The split finder before the per-fit presort; the
+    presorted finder must return exactly the same triple."""
+    G, H = g.sum(), h.sum()
+    parent = G * G / (H + reg_lambda)
+    best = None
+    for f in feature_ids:
+        x = X[:, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        valid = np.flatnonzero(xs[:-1] < xs[1:])
+        if valid.size == 0:
+            continue
+        G_l = np.cumsum(g[order])[valid]
+        H_l = np.cumsum(h[order])[valid]
+        gain = 0.5 * (
+            G_l**2 / (H_l + reg_lambda) + (G - G_l) ** 2 / (H - H_l + reg_lambda) - parent
+        )
+        j = int(np.argmax(gain))
+        if gain[j] > 1e-12 and (best is None or gain[j] > best[0]):
+            thr = (xs[valid[j]] + xs[valid[j] + 1]) / 2.0
+            best = (float(gain[j]), int(f), float(thr))
+    return best
+
+
+def tsne_oracle(X, params):
+    """Exact t-SNE with the optimisation loop as first written: fresh n x n
+    temporaries every iteration and the KL trace always computed. Only the
+    perplexity bisection comes from `clustering`. Returns (Y, kl_trace)."""
+
+    def sqdist(Z):
+        sq = np.sum(Z * Z, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (Z @ Z.T)
+        np.maximum(d2, 0.0, out=d2)
+        np.fill_diagonal(d2, 0.0)
+        return d2
+
+    def kl(P, Q):
+        mask = P > 0
+        return float(np.sum(P[mask] * np.log(P[mask] / np.maximum(Q[mask], 1e-12))))
+
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    cond = clustering._conditional_affinities(sqdist(X), params.perplexity)
+    P = (cond + cond.T) / (2.0 * n)
+    rng = np.random.default_rng(params.seed)
+    Y = rng.standard_normal((n, 2)) * 1e-4
+    velocity = np.zeros_like(Y)
+    gains = np.ones_like(Y)
+    kl_trace = []
+    for it in range(params.iterations):
+        exaggerating = it < params.exaggeration_iters
+        P_eff = P * params.early_exaggeration if exaggerating else P
+        momentum = params.momentum_early if it < params.momentum_switch_iter else params.momentum_late
+        num = 1.0 / (1.0 + sqdist(Y))
+        np.fill_diagonal(num, 0.0)
+        Q = num / num.sum()
+        PQn = (P_eff - Q) * num
+        grad = 4.0 * (PQn.sum(axis=1)[:, None] * Y - PQn @ Y)
+        inc = (grad > 0) != (velocity > 0)
+        gains[inc] += 0.2
+        gains[~inc] *= 0.8
+        np.clip(gains, 0.01, None, out=gains)
+        velocity = momentum * velocity - params.learning_rate * (gains * grad)
+        Y += velocity
+        Y -= Y.mean(axis=0)
+        if not exaggerating and (it + 1 - params.exaggeration_iters) % 50 == 0:
+            num = 1.0 / (1.0 + sqdist(Y))
+            np.fill_diagonal(num, 0.0)
+            kl_trace.append(kl(P, num / num.sum()))
+    return Y, kl_trace
 
 
 def gini_split_oracle(X, y, feature_ids):

@@ -259,6 +259,13 @@ class TestIngestSource:
         assert cluster["selected_n"] == 2
 
 
+# case -> (manifest -> (key, hostile value)); each must make `osnids predict` exit 2
+_HOSTILE_MANIFEST_EDITS = {
+    "scorer_meta_not_a_list": lambda m: ("scorer_meta", 5),
+    "scorer_kinds_convnet_for_logistic": lambda m: ("scorer_kinds", ["convnet"] * m["n_clusters"]),
+}
+
+
 class TestExitCodes:
     def test_missing_required_key_names_it(self, tmp_path, capsys):
         cfg = _small_config(tmp_path / "wd")
@@ -320,7 +327,7 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("case", sorted(HOSTILE_PARAMETER_FILES) + ["scorer_meta_not_a_list"])
+    @pytest.mark.parametrize("case", sorted(HOSTILE_PARAMETER_FILES) + sorted(_HOSTILE_MANIFEST_EDITS))
     def test_predict_hostile_bundle_is_format_error(self, finished_run, tmp_path, case):
         """In a child process, so a decoder that loops forever fails the test."""
         import shutil
@@ -338,7 +345,8 @@ class TestExitCodes:
             rewrite_parameter_file(bundle / name, mutate)
         else:
             manifest = json.loads((bundle / "manifest.json").read_text())
-            manifest["scorer_meta"] = 5
+            key, value = _HOSTILE_MANIFEST_EDITS[case](manifest)
+            manifest[key] = value
             (bundle / "manifest.json").write_text(json.dumps(manifest))
         argv = ["predict", "--bundle", str(bundle), "--samples", str(workdir / "d3.sset"),
                 "--out", str(tmp_path / "v.csv")]

@@ -20,7 +20,7 @@ from osnids.errors import (
 )
 from osnids.samples import make_records
 
-from helpers import kmeans_partition_oracle, silhouette_oracle
+from helpers import kmeans_partition_oracle, silhouette_oracle, tsne_oracle
 
 
 def _blobs(rng, centers, n_per, sigma=0.5):
@@ -233,3 +233,21 @@ class TestTsne:
     def test_iterations_minimum_enforced(self):
         with pytest.raises(InvalidRange):
             EmbeddingParams(iterations=200)
+
+
+class TestTsneAgainstOracle:
+    """The in-place loop must reproduce the allocating one bit for bit. At
+    300 iterations the run crosses the exaggeration and momentum switch at
+    250 and samples one KL value. Both loops make the same BLAS calls under
+    the same thread count, so they agree on any host."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_embedding_and_trace_equal_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        X = np.vstack([c + rng.normal(0, 0.3, (40, 6)) for c in rng.normal(0, 3, (4, 6))])
+        params = EmbeddingParams(perplexity=15.0, iterations=300, seed=seed)
+        Y, trace = tsne_embed(X, params, return_trace=True)
+        Y_oracle, trace_oracle = tsne_oracle(X, params)
+        assert Y.tobytes() == Y_oracle.tobytes()
+        assert np.array(trace).tobytes() == np.array(trace_oracle).tobytes() and len(trace) == 1
+        assert tsne_embed(X, params).tobytes() == Y.tobytes()

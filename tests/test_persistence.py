@@ -276,6 +276,14 @@ def _set_int32(offset: int, value: int):
     return lambda p: p[:offset] + struct.pack("<i", value) + p[offset + 4 :]
 
 
+def _set_float64(offset_of, value: float):
+    return lambda p: p[: offset_of(p)] + struct.pack("<d", value) + p[offset_of(p) + 8 :]
+
+
+def _first_tree_nodes(payload: bytes) -> int:
+    return struct.unpack_from("<I", payload, 5)[0]  # after a forest's tag and tree count
+
+
 # more CRC-valid parameter files the decoder must refuse; N = 2 here
 _MALFORMED_PARAMETER_FILES = {
     **HOSTILE_PARAMETER_FILES,
@@ -287,6 +295,10 @@ _MALFORMED_PARAMETER_FILES = {
     "tree_feature_n": ("meta_random_forest.bin", _set_int32(9, 2)),  # first tree's feature[0]
     "tree_without_nodes": ("meta_boost_leafwise.bin", _set_int32(21, 0)),
     "trailing_byte": ("meta_boost_leafwise.bin", lambda p: p + b"\x00"),
+    "boosted_nan_base_score": ("meta_boost_depthwise.bin", _set_float64(lambda p: 1, float("nan"))),
+    "boosted_inf_learning_rate": ("meta_boost_leafwise.bin", _set_float64(lambda p: 9, float("-inf"))),
+    # value[0] of the first tree: after its node count and n features, thresholds, lefts and rights
+    "forest_nan_node_value": ("meta_random_forest.bin", _set_float64(lambda p: 9 + 20 * _first_tree_nodes(p), float("nan"))),
 }
 
 
@@ -343,6 +355,32 @@ class TestHostileBundles:
                 load_bundle(root)
         finally:
             _restore(root, originals)
+
+    @pytest.mark.parametrize(
+        "kinds", [None, "logistic", ["logistic"], ["logistic", "logistic", "logistic"], ["convnet", "convnet"], ["logistic", 1]]
+    )
+    def test_scorer_kinds_must_match_scorer_files(self, saved_bundle, kinds):
+        root, originals = saved_bundle
+        data = json.loads(originals["manifest.json"])
+        assert data["scorer_kinds"] == ["logistic", "logistic"]
+        data["scorer_kinds"] = kinds
+        (root / "manifest.json").write_text(json.dumps(data))
+        try:
+            with pytest.raises(ManifestInvalid):
+                load_bundle(root)
+        finally:
+            _restore(root, originals)
+
+    def test_manifest_without_scorer_kinds_loads(self, saved_bundle):
+        root, originals = saved_bundle
+        data = json.loads(originals["manifest.json"])
+        del data["scorer_kinds"]
+        (root / "manifest.json").write_text(json.dumps(data))
+        try:
+            base, _ = load_bundle(root)
+        finally:
+            _restore(root, originals)
+        assert [s.kind for s in base.scorers] == ["logistic", "logistic"]
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

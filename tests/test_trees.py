@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from osnids import trees
 from osnids.trees import (
     GradientBoostedTrees,
     RandomForest,
@@ -9,7 +10,7 @@ from osnids.trees import (
     predict_tree,
 )
 
-from helpers import gini_best_splits, gini_tree_oracle
+from helpers import gini_best_splits, gini_tree_oracle, split_oracle
 
 
 def _xor_free_data(rng, n=200):
@@ -210,3 +211,69 @@ class TestGradientBoostedTrees:
         max_leaves_leafy = max(int((t.feature == -1).sum()) for t in leafy.trees)
         assert max_leaves_deep <= 8
         assert max_leaves_leafy > 8
+
+
+def _tied_matrix(rng, n, d):
+    """Columns with many repeated values, so tied positions are common."""
+    if rng.random() < 0.5:
+        return rng.integers(0, 6, (n, d)) / 5.0
+    return np.round(rng.random((n, d)), 2)
+
+
+def _tree_bytes(model):
+    return [b"".join(a.tobytes() for a in (t.feature, t.threshold, t.left, t.right, t.value)) for t in model.trees]
+
+
+def _grow_with_oracle(monkeypatch):
+    """Route every grower's split search through the per-node argsort oracle."""
+    monkeypatch.setattr(
+        trees, "_best_split", lambda X, order, idx, g, h, lam, feats: split_oracle(X[idx], g[idx], h[idx], lam, feats)
+    )
+
+
+class TestPresortedSplitFinder:
+    """The presorted finder must return the per-node argsort finder's exact
+    (gain, feature, threshold), float for float, so fitted trees and bundles
+    stay byte-identical."""
+
+    @pytest.mark.parametrize("newton", [False, True], ids=["gini", "newton"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_nodes_equal_oracle(self, seed, newton):
+        rng = np.random.default_rng(100 + seed)
+        found = 0
+        for _ in range(60):
+            n, d = int(rng.integers(2, 200)), int(rng.integers(1, 8))
+            X = _tied_matrix(rng, n, d)
+            if newton:
+                g, h, lam = rng.normal(0, 1, n), rng.uniform(1e-3, 0.25, n), 1.0
+            else:
+                g, h, lam = -(rng.random(n) < rng.random()).astype(float), np.ones(n), 0.0
+            idx = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+            feats = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+            got = trees._best_split(X, np.argsort(X.T, axis=1, kind="stable"), idx, g, h, lam, feats)
+            assert got == split_oracle(X[idx], g[idx], h[idx], lam, feats)
+            found += got is not None
+        assert found >= 30
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_forest_equals_oracle_grown(self, seed, monkeypatch):
+        rng = np.random.default_rng(200 + seed)
+        X = _tied_matrix(rng, 150, 5)
+        y = (X[:, 0] + 0.5 * rng.random(150) > 0.7).astype(float)
+        new = RandomForest(n_trees=8, max_depth=6, seed=seed).fit(X, y)
+        _grow_with_oracle(monkeypatch)
+        old = RandomForest(n_trees=8, max_depth=6, seed=seed).fit(X, y)
+        assert _tree_bytes(new) == _tree_bytes(old)
+        assert sum(len(t) for t in new.trees) > 3 * len(new.trees)  # the trees did split
+
+    @pytest.mark.parametrize("growth", ["depthwise", "leafwise"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_boosting_equals_oracle_grown(self, seed, growth, monkeypatch):
+        rng = np.random.default_rng(300 + seed)
+        X = _tied_matrix(rng, 200, 6)
+        y = ((X[:, 0] > 0.5) ^ (X[:, 1] > 0.4) | (rng.random(200) < 0.1)).astype(float)
+        new = GradientBoostedTrees(growth=growth, rounds=15).fit(X, y)
+        _grow_with_oracle(monkeypatch)
+        old = GradientBoostedTrees(growth=growth, rounds=15).fit(X, y)
+        assert _tree_bytes(new) == _tree_bytes(old)
+        assert sum(len(t) for t in new.trees) > len(new.trees)  # the trees did split
