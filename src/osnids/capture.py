@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    BadEncoding,
     BadMagic,
     CountMismatch,
     EmptyFlowTable,
@@ -66,8 +67,12 @@ class FlowRecord:
     label: str
 
     def __post_init__(self):
+        if not (math.isfinite(self.start_time) and math.isfinite(self.duration)):
+            raise ValueOutOfRange(f"flow start time {self.start_time} and duration {self.duration} must be finite")
         if self.duration < 0:
             raise ValueOutOfRange(f"flow duration must be >= 0, got {self.duration}")
+        if not (0 <= self.src_port <= 0xFFFF and 0 <= self.dst_port <= 0xFFFF):
+            raise ValueOutOfRange(f"flow ports must be in 0..65535, got {self.src_port}, {self.dst_port}")
         if not self.label:
             raise ValueOutOfRange("flow label must be non-empty")
 
@@ -158,48 +163,39 @@ def parse_capture(path) -> ParseResult:
 
 def _decode_ethernet(timestamp: float, data: bytes, result: ParseResult) -> Optional[RawPacketRecord]:
     if len(data) < 14:
-        result._skip("malformed")
-        return None
+        return result._skip("malformed")
     offset = 12
     (ethertype,) = struct.unpack_from(">H", data, offset)
     offset += 2
     while ethertype in ETHERTYPE_VLAN:
         if len(data) < offset + 4:
-            result._skip("malformed")
-            return None
+            return result._skip("malformed")
         (ethertype,) = struct.unpack_from(">H", data, offset + 2)
         offset += 4
     if ethertype != ETHERTYPE_IPV4:
-        result._skip("non_ip")
-        return None
+        return result._skip("non_ip")
     return _decode_ipv4(timestamp, data[offset:], result)
 
 
 def _decode_ipv4(timestamp: float, data: bytes, result: ParseResult) -> Optional[RawPacketRecord]:
     if len(data) < 20:
-        result._skip("malformed")
-        return None
+        return result._skip("malformed")
     version_ihl = data[0]
     if version_ihl >> 4 != 4:
-        result._skip("malformed")
-        return None
+        return result._skip("malformed")
     ihl = (version_ihl & 0x0F) * 4
     total_len = struct.unpack_from(">H", data, 2)[0]
     flags_frag = struct.unpack_from(">H", data, 6)[0]
     proto = data[9]
     if ihl < 20 or total_len < ihl:
-        result._skip("malformed")
-        return None
+        return result._skip("malformed")
     if len(data) < total_len:
         # snaplen-truncated capture: declared IP length not present
-        result._skip("malformed")
-        return None
+        return result._skip("malformed")
     if flags_frag & 0x1FFF:
-        result._skip("fragment")
-        return None
+        return result._skip("fragment")
     if proto not in (IPPROTO_TCP, IPPROTO_UDP):
-        result._skip("non_tcp_udp")
-        return None
+        return result._skip("non_tcp_udp")
 
     src_ip = _ipv4_str(data[12:16])
     dst_ip = _ipv4_str(data[16:20])
@@ -207,22 +203,18 @@ def _decode_ipv4(timestamp: float, data: bytes, result: ParseResult) -> Optional
 
     if proto == IPPROTO_TCP:
         if len(segment) < 20:
-            result._skip("malformed")
-            return None
+            return result._skip("malformed")
         src_port, dst_port = struct.unpack_from(">HH", segment, 0)
         data_off = (segment[12] >> 4) * 4
         if data_off < 20 or data_off > len(segment):
-            result._skip("malformed")
-            return None
+            return result._skip("malformed")
         return RawPacketRecord(timestamp, src_ip, dst_ip, src_port, dst_port, TCP, segment[data_off:])
 
     if len(segment) < 8:
-        result._skip("malformed")
-        return None
+        return result._skip("malformed")
     src_port, dst_port, udp_len = struct.unpack_from(">HHH", segment, 0)
     if udp_len < 8 or udp_len != len(segment):
-        result._skip("malformed")
-        return None
+        return result._skip("malformed")
     return RawPacketRecord(timestamp, src_ip, dst_ip, src_port, dst_port, UDP, segment[8:])
 
 
@@ -344,6 +336,13 @@ def undersample_benign(samples: np.recarray, target_ratio: float, seed: int) -> 
     return samples[keep]
 
 
+def _parse_number(value: str, kind: type, column: str):
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise ValueOutOfRange(f"flow CSV {column} {value!r} is not a number") from exc
+
+
 def _parse_time(value: str) -> float:
     try:
         return float(value)
@@ -378,27 +377,33 @@ def read_flow_csv(path, column_map: dict[str, str]) -> list[FlowRecord]:
     if missing:
         raise ValueOutOfRange(f"column map missing logical columns: {', '.join(missing)}")
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise UnreadableFile(f"cannot open flow CSV {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        absent = [column_map[c] for c in FLOW_COLUMNS if column_map[c] not in header]
-        if absent:
-            raise ValueOutOfRange(f"flow CSV lacks mapped columns: {', '.join(absent)}")
-        flows = []
-        for row in reader:
-            flows.append(
-                FlowRecord(
-                    src_ip=row[column_map["src_ip"]].strip(),
-                    src_port=int(row[column_map["src_port"]]),
-                    dst_ip=row[column_map["dst_ip"]].strip(),
-                    dst_port=int(row[column_map["dst_port"]]),
-                    protocol=_parse_protocol(row[column_map["protocol"]]),
-                    start_time=_parse_time(row[column_map["start_time"]]),
-                    duration=float(row[column_map["duration"]]),
-                    label=row[column_map["label"]].strip(),
+    flows = []
+    try:
+        with fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            absent = [column_map[c] for c in FLOW_COLUMNS if column_map[c] not in header]
+            if absent:
+                raise ValueOutOfRange(f"flow CSV lacks mapped columns: {', '.join(absent)}")
+            for row in reader:
+                if None in row.values():
+                    raise ValueOutOfRange(f"flow CSV line {reader.line_num} has fewer fields than its header")
+                f = {c: row[column_map[c]] for c in FLOW_COLUMNS}
+                flows.append(
+                    FlowRecord(
+                        src_ip=f["src_ip"].strip(),
+                        src_port=_parse_number(f["src_port"], int, "src_port"),
+                        dst_ip=f["dst_ip"].strip(),
+                        dst_port=_parse_number(f["dst_port"], int, "dst_port"),
+                        protocol=_parse_protocol(f["protocol"]),
+                        start_time=_parse_time(f["start_time"]),
+                        duration=_parse_number(f["duration"], float, "duration"),
+                        label=f["label"].strip(),
+                    )
                 )
-            )
+    except UnicodeDecodeError as exc:
+        raise BadEncoding(f"flow CSV {path} is not valid UTF-8: {exc}") from exc
     return flows

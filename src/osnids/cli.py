@@ -25,7 +25,6 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--threads", type=int, default=None, help="worker threads for base-learner training")
     common.add_argument("--verbose", "-v", action="count", default=0, help="-v for info, -vv for debug")
 
     parser = _Parser(prog="osnids", description="Open-set NIDS pipeline")
@@ -54,14 +53,6 @@ def _build_parser() -> _Parser:
     predict_cmd.add_argument("--samples", required=True, help="sample-set file to score")
     predict_cmd.add_argument("--out", required=True, help="verdict CSV path")
     return parser
-
-
-def _apply_overrides(cfg: dict, args) -> dict:
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.threads is not None:
-        cfg["threads"] = args.threads
-    return cfg
 
 
 _STAGES = {
@@ -102,7 +93,9 @@ def main(argv=None) -> int:
             _cmd_predict(args)
             return 0
 
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
         result = _STAGES[args.command](cfg)
         if args.command in ("evaluate", "run"):
             print(

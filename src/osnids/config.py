@@ -38,7 +38,6 @@ DEFAULT_COLUMN_MAP = {
 def default_config() -> dict:
     return {
         "seed": 7,
-        "threads": 1,
         "workdir": "runs/demo",
         "pipeline": {"source": "synth"},
         "synth": {

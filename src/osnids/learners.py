@@ -14,8 +14,7 @@ against finite differences.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -105,6 +104,19 @@ def _weighted_bce(p: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
     return float(-(w * (y * np.log(p) + (1 - y) * np.log(1 - p))).sum() / w.sum())
 
 
+def _loss(kind: str, params: np.ndarray, p: np.ndarray, y: np.ndarray, weights: np.ndarray, l2: float) -> float:
+    """Weighted cross-entropy of scores `p` plus the L2 penalty on the
+    weights (biases unregularized); the convnet adds one layer at a time."""
+    loss = _weighted_bce(p, y, weights)
+    if kind == LOGISTIC:
+        w = params[:-1]
+        return loss + 0.5 * l2 * float(w @ w)
+    t = _unpack(params)
+    for name in ("W1", "W2", "Wd"):
+        loss += 0.5 * l2 * float(np.sum(t[name] ** 2))
+    return loss
+
+
 # --- logistic kind ---
 
 
@@ -120,10 +132,10 @@ def logistic_scores(params: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def logistic_loss_and_grad(params, X, y, weights, l2):
     """Weighted cross-entropy + (l2/2)*||w||^2 (bias unregularized)."""
-    w, b = params[:-1], params[-1]
-    p = _sigmoid(X @ w + b)
+    w = params[:-1]
+    p = logistic_scores(params, X)
     wsum = weights.sum()
-    loss = _weighted_bce(p, y, weights) + 0.5 * l2 * float(w @ w)
+    loss = _loss(LOGISTIC, params, p, y, weights, l2)
     dz = weights * (p - y) / wsum
     grad = np.concatenate([X.T @ dz + l2 * w, [dz.sum()]])
     return loss, grad
@@ -175,18 +187,11 @@ def _conv_forward(x, W, b):
     return out, cols
 
 
-def _conv_backward(dout, cols, W, x_shape):
+def _conv_param_grads(dout, cols, W):
     k = W.shape[-1]
     dW = (cols.reshape(-1, cols.shape[-1]).T @ dout.reshape(-1, k)).reshape(W.shape)
     db = dout.sum(axis=(0, 1, 2))
-    dcols = dout @ W.reshape(-1, k).T
-    B, H, Wd, C = x_shape
-    dcols = dcols.reshape(B, H - 2, Wd - 2, 3, 3, C)
-    dx = np.zeros(x_shape)
-    for i in range(3):
-        for j in range(3):
-            dx[:, i : i + H - 2, j : j + Wd - 2, :] += dcols[:, :, :, i, j, :]
-    return dx, dW, db
+    return dW, db
 
 
 def _pool_forward(x):
@@ -235,9 +240,7 @@ def convnet_loss_and_grad(params, X, y, weights, l2):
     p, cache = _convnet_forward(params, X)
     t, cols1, z1, a1, cols2, z2, a2, idx, flat = cache
     wsum = weights.sum()
-    loss = _weighted_bce(p, y, weights)
-    for name in ("W1", "W2", "Wd"):
-        loss += 0.5 * l2 * float(np.sum(t[name] ** 2))
+    loss = _loss(CONVNET, params, p, y, weights, l2)
 
     dlogit = weights * (p - y) / wsum
     dWd = flat.T @ dlogit + l2 * t["Wd"]
@@ -246,10 +249,16 @@ def convnet_loss_and_grad(params, X, y, weights, l2):
     dpooled = dflat.reshape(X.shape[0], _HP, _WP, _C2_OUT)
     da2 = _pool_backward(dpooled, idx, a2.shape)
     dz2 = da2 * (z2 > 0)
-    da1, dW2, db2 = _conv_backward(dz2, cols2, t["W2"], a1.shape)
+    dW2, db2 = _conv_param_grads(dz2, cols2, t["W2"])
     dW2 += l2 * t["W2"]
+    # only layer 2 needs its input gradient; layer 1's input is the data
+    dcols = (dz2 @ t["W2"].reshape(-1, _C2_OUT).T).reshape(X.shape[0], _H2, _W2, 3, 3, _C1_OUT)
+    da1 = np.zeros(a1.shape)
+    for i in range(3):
+        for j in range(3):
+            da1[:, i : i + _H2, j : j + _W2, :] += dcols[:, :, :, i, j, :]
     dz1 = da1 * (z1 > 0)
-    _, dW1, db1 = _conv_backward(dz1, cols1, t["W1"], X.shape)
+    dW1, db1 = _conv_param_grads(dz1, cols1, t["W1"])
     dW1 += l2 * t["W1"]
 
     grad = _pack({"W1": dW1, "b1": db1, "W2": dW2, "b2": db2, "Wd": dWd, "bd": dbd})
@@ -283,7 +292,7 @@ def train_scorer(
     if kind not in _KIND_FNS:
         raise GeometryMismatch(f"unknown scorer kind {kind!r}")
     config = config or TrainingConfig.for_kind(kind)
-    init, loss_and_grad, _ = _KIND_FNS[kind]
+    init, loss_and_grad, scores = _KIND_FNS[kind]
 
     n = tensors.shape[0]
     n_pos = int(y.sum())
@@ -301,8 +310,8 @@ def train_scorer(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             _, grad = loss_and_grad(params, X[idx], y[idx], weights[idx], config.l2)
-            params = params - config.learning_rate * grad
-        epoch_loss, _ = loss_and_grad(params, X, y, weights, config.l2)
+            params -= config.learning_rate * grad
+        epoch_loss = _loss(kind, params, scores(params, X), y, weights, config.l2)
         if not np.isfinite(epoch_loss):
             raise NonFiniteLoss(f"loss diverged to {epoch_loss} during epoch {len(losses)}")
         losses.append(float(epoch_loss))
@@ -325,7 +334,6 @@ def train_base_ensemble(
     n: int,
     config: Optional[TrainingConfig] = None,
     kind: str = LOGISTIC,
-    threads: int = 1,
 ) -> BaseEnsemble:
     """Train the N cluster-vs-rest-of-benign scorers on clustered D1
     records; ordering follows cluster ids."""
@@ -334,12 +342,7 @@ def train_base_ensemble(
         raise MissingCluster(f"cluster ids {present.tolist()} do not cover 0..{n - 1}")
 
     base = config or TrainingConfig.for_kind(kind)
-    # per-cluster seeds fixed up front so threading cannot change results
-    seeds = [int(s) for s in np.random.SeedSequence(base.seed).generate_state(n)]
-    configs = [
-        TrainingConfig(base.epochs, base.batch_size, base.learning_rate, base.l2, seeds[i])
-        for i in range(n)
-    ]
+    seeds = np.random.SeedSequence(base.seed).generate_state(n)
     tensors = sample_tensors(d1)
     ys = [(d1.cluster == i).astype(np.float64) for i in range(n)]
     for i in range(n):
@@ -347,11 +350,7 @@ def train_base_ensemble(
         if n_pos < 10 or len(d1) - n_pos < 10:
             raise DegenerateClasses(f"cluster {i}: need >= 10 samples on each side")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scorers = list(pool.map(lambda i: train_scorer(tensors, ys[i], kind, configs[i]), range(n)))
-    else:
-        scorers = [train_scorer(tensors, ys[i], kind, configs[i]) for i in range(n)]
+    scorers = [train_scorer(tensors, ys[i], kind, replace(base, seed=int(seeds[i]))) for i in range(n)]
     return BaseEnsemble(scorers=scorers, n_clusters=n)
 
 

@@ -322,12 +322,17 @@ def save_bundle(
         },
         "training_config_digest": config_digest,
     }
+    listed = set(scorer_files + meta_files)
     try:
         with open(root / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        # parameter files of an earlier save that this manifest no longer lists
+        for stale in [*root.glob("base_*.bin"), *root.glob("meta_*.bin")]:
+            if stale.name not in listed:
+                stale.unlink()
     except OSError as exc:
-        raise IoFailure(f"cannot write bundle manifest: {exc}") from exc
+        raise IoFailure(f"cannot write bundle manifest or remove stale parameter files: {exc}") from exc
 
 
 def _field(manifest: dict, key: str, kind: type, default, item: Optional[type] = None):

@@ -173,8 +173,7 @@ def stage_train_base(cfg: dict) -> learners.BaseEnsemble:
         l2=float(require(cfg, "learners.l2")),
         seed=_seed(cfg),
     )
-    threads = int(cfg.get("threads", 1))
-    ensemble = learners.train_base_ensemble(d1.samples, n, config=config, kind=kind, threads=threads)
+    ensemble = learners.train_base_ensemble(d1.samples, n, config=config, kind=kind)
     persistence.save_bundle(ensemble, None, wd / BUNDLE_DIR, config_digest=_config_digest(cfg))
     learners.write_training_curves_csv(ensemble, wd / TRAINING_CURVES)
     log.info("train-base: %d scorers (%s)", n, kind)

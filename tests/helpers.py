@@ -456,3 +456,87 @@ def gradient_check(kind: str, seed: int, n_coords: int = 20, h: float = 1e-4) ->
         worst = max(worst, abs(fd - grad[c]) / max(abs(fd), abs(grad[c]), 1e-8))
         checked += 1
     return worst
+
+
+# --- base-scorer training oracles ---
+# The training loop as it was before the epoch-end loss became forward-only
+# and before the layer-1 input gradient was dropped: every epoch ends with
+# a full forward and backward pass over the data, and the backward pass
+# of both convolutions computes an input gradient.
+
+
+def conv_backward_oracle(dout, cols, W, x_shape):
+    k = W.shape[-1]
+    dW = (cols.reshape(-1, cols.shape[-1]).T @ dout.reshape(-1, k)).reshape(W.shape)
+    db = dout.sum(axis=(0, 1, 2))
+    dcols = dout @ W.reshape(-1, k).T
+    B, H, Wd, C = x_shape
+    dcols = dcols.reshape(B, H - 2, Wd - 2, 3, 3, C)
+    dx = np.zeros(x_shape)
+    for i in range(3):
+        for j in range(3):
+            dx[:, i : i + H - 2, j : j + Wd - 2, :] += dcols[:, :, :, i, j, :]
+    return dx, dW, db
+
+
+def logistic_loss_and_grad_oracle(params, X, y, weights, l2):
+    w, b = params[:-1], params[-1]
+    p = learners._sigmoid(X @ w + b)
+    wsum = weights.sum()
+    loss = learners._weighted_bce(p, y, weights) + 0.5 * l2 * float(w @ w)
+    dz = weights * (p - y) / wsum
+    grad = np.concatenate([X.T @ dz + l2 * w, [dz.sum()]])
+    return loss, grad
+
+
+def convnet_loss_and_grad_oracle(params, X, y, weights, l2):
+    p, cache = learners._convnet_forward(params, X)
+    t, cols1, z1, a1, cols2, z2, a2, idx, flat = cache
+    wsum = weights.sum()
+    loss = learners._weighted_bce(p, y, weights)
+    for name in ("W1", "W2", "Wd"):
+        loss += 0.5 * l2 * float(np.sum(t[name] ** 2))
+
+    dlogit = weights * (p - y) / wsum
+    dWd = flat.T @ dlogit + l2 * t["Wd"]
+    dbd = np.array([dlogit.sum()])
+    dflat = np.outer(dlogit, t["Wd"])
+    dpooled = dflat.reshape(X.shape[0], learners._HP, learners._WP, learners._C2_OUT)
+    da2 = learners._pool_backward(dpooled, idx, a2.shape)
+    dz2 = da2 * (z2 > 0)
+    da1, dW2, db2 = conv_backward_oracle(dz2, cols2, t["W2"], a1.shape)
+    dW2 += l2 * t["W2"]
+    dz1 = da1 * (z1 > 0)
+    _, dW1, db1 = conv_backward_oracle(dz1, cols1, t["W1"], X.shape)
+    dW1 += l2 * t["W1"]
+
+    grad = learners._pack({"W1": dW1, "b1": db1, "W2": dW2, "b2": db2, "Wd": dWd, "bd": dbd})
+    return loss, grad
+
+
+LOSS_AND_GRAD_ORACLES = {
+    learners.LOGISTIC: logistic_loss_and_grad_oracle,
+    learners.CONVNET: convnet_loss_and_grad_oracle,
+}
+
+
+def train_scorer_oracle(tensors, y, kind, config):
+    """(params, loss curve) of the old `train_scorer` loop."""
+    init = learners._KIND_FNS[kind][0]
+    loss_and_grad = LOSS_AND_GRAD_ORACLES[kind]
+    n = tensors.shape[0]
+    n_pos = int(y.sum())
+    weights = np.where(y == 1, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
+    X = learners._prepare_inputs(kind, tensors)
+    params = init(config.seed)
+    rng = np.random.default_rng(config.seed)
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            _, grad = loss_and_grad(params, X[idx], y[idx], weights[idx], config.l2)
+            params = params - config.learning_rate * grad
+        epoch_loss, _ = loss_and_grad(params, X, y, weights, config.l2)
+        losses.append(float(epoch_loss))
+    return params, losses

@@ -2,9 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osnids.capture import (
     FlowRecord,
+    ParseResult,
     deduplicate,
     extract_payload_features,
     label_packets,
@@ -13,10 +16,12 @@ from osnids.capture import (
     undersample_benign,
 )
 from osnids.errors import (
+    BadEncoding,
     BadMagic,
     CountMismatch,
     EmptyFlowTable,
     NoAttackSamples,
+    PipelineError,
     TruncatedHeader,
     UnreadableFile,
     ValueOutOfRange,
@@ -370,6 +375,37 @@ class TestUndersampleBenign:
         assert positions == sorted(positions)
 
 
+_FLOW_HEADER = "Src IP,Src Port,Dst IP,Dst Port,Protocol,Timestamp,Flow Duration,Label\n"
+_FLOW_COLUMN_MAP = {
+    "src_ip": "Src IP",
+    "src_port": "Src Port",
+    "dst_ip": "Dst IP",
+    "dst_port": "Dst Port",
+    "protocol": "Protocol",
+    "start_time": "Timestamp",
+    "duration": "Flow Duration",
+    "label": "Label",
+}
+_GOOD_FLOW_ROW = b"10.0.0.1,1000,10.0.0.2,80,6,100.5,3.5,BENIGN\n"
+
+# case -> (second data row, expected error); the first row is always good
+HOSTILE_FLOW_ROWS = {
+    "non_integer_src_port": (b"10.0.0.3,10x1,10.0.0.4,81,UDP,200.0,1.0,DoS\n", ValueOutOfRange),
+    "non_integer_dst_port": (b"10.0.0.3,1001,10.0.0.4,8.1,UDP,200.0,1.0,DoS\n", ValueOutOfRange),
+    "empty_port": (b"10.0.0.3,,10.0.0.4,81,UDP,200.0,1.0,DoS\n", ValueOutOfRange),
+    "short_row": (b"10.0.0.3,1001,10.0.0.4\n", ValueOutOfRange),
+    "non_utf8_label": (b"10.0.0.3,1001,10.0.0.4,81,UDP,200.0,1.0,Do\xffS\n", BadEncoding),
+    "nan_duration": (b"10.0.0.3,1001,10.0.0.4,81,UDP,200.0,nan,DoS\n", ValueOutOfRange),
+    "inf_duration": (b"10.0.0.3,1001,10.0.0.4,81,UDP,200.0,inf,DoS\n", ValueOutOfRange),
+    "overflowing_duration": (b"10.0.0.3,1001,10.0.0.4,81,UDP,200.0,1e999,DoS\n", ValueOutOfRange),
+    "non_numeric_duration": (b"10.0.0.3,1001,10.0.0.4,81,UDP,200.0,long,DoS\n", ValueOutOfRange),
+    "nan_start_time": (b"10.0.0.3,1001,10.0.0.4,81,UDP,NaN,1.0,DoS\n", ValueOutOfRange),
+    "inf_start_time": (b"10.0.0.3,1001,10.0.0.4,81,UDP,-inf,1.0,DoS\n", ValueOutOfRange),
+    "src_port_above_65535": (b"10.0.0.3,65536,10.0.0.4,81,UDP,200.0,1.0,DoS\n", ValueOutOfRange),
+    "negative_dst_port": (b"10.0.0.3,1001,10.0.0.4,-1,UDP,200.0,1.0,DoS\n", ValueOutOfRange),
+}
+
+
 class TestFlowCsv:
     def test_column_mapping(self, tmp_path):
         csv_path = tmp_path / "flows.csv"
@@ -398,3 +434,76 @@ class TestFlowCsv:
         csv_path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueOutOfRange):
             read_flow_csv(csv_path, {c: c for c in ("src_ip", "src_port", "dst_ip", "dst_port", "protocol", "start_time", "duration", "label")})
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_FLOW_ROWS))
+    def test_hostile_row_is_pipeline_error(self, tmp_path, case):
+        row, error = HOSTILE_FLOW_ROWS[case]
+        csv_path = tmp_path / "flows.csv"
+        csv_path.write_bytes(_FLOW_HEADER.encode() + _GOOD_FLOW_ROW + row)
+        with pytest.raises(error) as info:
+            read_flow_csv(csv_path, _FLOW_COLUMN_MAP)
+        assert info.value.exit_code == (2 if error is BadEncoding else 3)
+
+    def test_port_range_ends_accepted(self, tmp_path):
+        csv_path = tmp_path / "flows.csv"
+        csv_path.write_bytes(_FLOW_HEADER.encode() + b"10.0.0.1,0,10.0.0.2,65535,TCP,0,0,BENIGN\n")
+        (flow,) = read_flow_csv(csv_path, _FLOW_COLUMN_MAP)
+        assert (flow.src_port, flow.dst_port, flow.duration) == (0, 65535, 0.0)
+
+
+def _mutate(data, blob: bytes) -> bytes:
+    """One byte of `blob` changed to another value, or `blob` cut short."""
+    blob = bytearray(blob)
+    if data.draw(st.booleans(), label="truncate"):
+        return bytes(blob[: data.draw(st.integers(0, len(blob) - 1), label="length")])
+    pos = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    blob[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]), label="byte")
+    return bytes(blob)
+
+
+@pytest.fixture(scope="module")
+def decoder_inputs(tmp_path_factory):
+    """A small valid capture and flow CSV, plus a directory for mutants."""
+    frames = [
+        ipv4_packet("10.0.0.1", "10.0.0.2", 1234, 80, "TCP", b"GET / HTTP/1.1"),
+        arp_frame(),
+        ipv4_packet("10.0.0.3", "10.0.0.4", 5353, 53, "UDP", b"\x01\x02\x03"),
+        ipv4_packet("10.0.0.5", "10.0.0.6", 40000, 443, "TCP", b""),
+    ]
+    flows = _FLOW_HEADER.encode() + _GOOD_FLOW_ROW + b"10.0.0.3,5353,10.0.0.4,53,UDP,2024-01-02T03:04:05,0.25,DNS\n"
+    return tmp_path_factory.mktemp("decoders"), build_pcap(frames, timestamps=[0.5, 1.0, 1.5, 2.0]), flows
+
+
+class TestDecoderMutations:
+    """A single-byte mutation or a truncation of a valid input decodes, or
+    fails with a PipelineError and its documented exit code."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_capture_is_result_or_format_error(self, decoder_inputs, data):
+        root, pcap, _ = decoder_inputs
+        path = root / "mutated.pcap"
+        path.write_bytes(_mutate(data, pcap))
+        try:
+            result = parse_capture(path)
+        except PipelineError as exc:
+            assert exc.exit_code == 2  # every capture error is a format error
+            return
+        assert isinstance(result, ParseResult)
+        assert all(packet.protocol in ("TCP", "UDP") for packet in result)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_flow_csv_is_flows_or_pipeline_error(self, decoder_inputs, data):
+        root, _, flows = decoder_inputs
+        path = root / "mutated.csv"
+        path.write_bytes(_mutate(data, flows))
+        try:
+            records = read_flow_csv(path, _FLOW_COLUMN_MAP)
+        except (BadEncoding, ValueOutOfRange) as exc:
+            assert exc.exit_code == (2 if isinstance(exc, BadEncoding) else 3)
+            return
+        for flow in records:
+            assert isinstance(flow, FlowRecord) and flow.label
+            assert 0 <= flow.src_port <= 0xFFFF and 0 <= flow.dst_port <= 0xFFFF
+            assert np.isfinite(flow.start_time) and np.isfinite(flow.duration) and flow.duration >= 0

@@ -259,6 +259,27 @@ class TestIngestSource:
         assert cluster["selected_n"] == 2
 
 
+def _run_cli_child(argv):
+    """`osnids <argv>` in a child process with a 60 s timeout."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import osnids
+
+    src = str(Path(osnids.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from osnids.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+
+
+# case -> (flow CSV data row, exit code of `osnids ingest`)
+_HOSTILE_FLOW_ROWS = {
+    "non_integer_port": (b"10.0.0.1,80x,10.0.0.2,80,TCP,0,1,BENIGN\n", 3),
+    "non_utf8_label": (b"10.0.0.1,80,10.0.0.2,80,TCP,0,1,BEN\xffIGN\n", 2),
+}
+
 # case -> (manifest -> (key, hostile value)); each must make `osnids predict` exit 2
 _HOSTILE_MANIFEST_EDITS = {
     "scorer_meta_not_a_list": lambda m: ("scorer_meta", 5),
@@ -286,6 +307,47 @@ class TestExitCodes:
 
     def test_usage_error_exit_one(self):
         assert main(["no-such-command"]) == 1
+
+    def test_threads_flag_is_gone(self, finished_run, capsys):
+        _, _, _, config_path = finished_run
+        assert main(["train-base", "--config", config_path, "--threads", "2"]) == 1
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(_HOSTILE_FLOW_ROWS))
+    def test_ingest_hostile_flow_csv(self, tmp_path, case):
+        from helpers import build_pcap, ipv4_packet
+
+        row, code = _HOSTILE_FLOW_ROWS[case]
+        (tmp_path / "cap.pcap").write_bytes(build_pcap([ipv4_packet("10.0.0.1", "10.0.0.2", 80, 80, "TCP", b"x")]))
+        (tmp_path / "flows.csv").write_bytes(b"src,sport,dst,dport,proto,t0,dur,label\n" + row)
+        cfg = _small_config(tmp_path / "wd")
+        cfg["ingest"].update(pcap=str(tmp_path / "cap.pcap"), flows=str(tmp_path / "flows.csv"), column_map={
+            "src_ip": "src", "src_port": "sport", "dst_ip": "dst", "dst_port": "dport",
+            "protocol": "proto", "start_time": "t0", "duration": "dur", "label": "label",
+        })
+        proc = _run_cli_child(["ingest", "--config", _write_config(tmp_path, cfg)])
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    def test_train_base_removes_stale_parameter_files(self, finished_run, tmp_path):
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        workdir2 = tmp_path / "wd"
+        shutil.copytree(workdir, workdir2)
+        bundle = workdir2 / "bundle"
+        assert sorted(p.name for p in bundle.glob("meta_*.bin")) == sorted(f"meta_{f}.bin" for f in META_FAMILIES)
+        (bundle / "base_099.bin").write_bytes((bundle / "base_000.bin").read_bytes())
+        (bundle / "notes.txt").write_text("kept")
+        config_path = _write_config(tmp_path, {**cfg, "workdir": str(workdir2)})
+        assert main(["train-base", "--config", config_path]) == 0
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        assert manifest["meta_files"] == []
+        assert list(bundle.glob("meta_*.bin")) == []
+        assert sorted(p.name for p in bundle.glob("*.bin")) == sorted(manifest["scorer_files"])
+        assert (bundle / "notes.txt").read_text() == "kept"
+        assert main(["train-meta", "--config", config_path]) == 0
+        assert len(list(bundle.glob("meta_*.bin"))) == len(META_FAMILIES)
 
     def test_missing_sample_set_is_io_error(self, tmp_path):
         cfg = _small_config(tmp_path / "wd")
@@ -331,11 +393,6 @@ class TestExitCodes:
     def test_predict_hostile_bundle_is_format_error(self, finished_run, tmp_path, case):
         """In a child process, so a decoder that loops forever fails the test."""
         import shutil
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import osnids
 
         _, workdir, _, _ = finished_run
         bundle = tmp_path / "bundle"
@@ -348,13 +405,8 @@ class TestExitCodes:
             key, value = _HOSTILE_MANIFEST_EDITS[case](manifest)
             manifest[key] = value
             (bundle / "manifest.json").write_text(json.dumps(manifest))
-        argv = ["predict", "--bundle", str(bundle), "--samples", str(workdir / "d3.sset"),
-                "--out", str(tmp_path / "v.csv")]
-        src = str(Path(osnids.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from osnids.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
-        )
+        proc = _run_cli_child(["predict", "--bundle", str(bundle), "--samples", str(workdir / "d3.sset"),
+                               "--out", str(tmp_path / "v.csv")])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 

@@ -15,14 +15,17 @@ from osnids.learners import (
     BaseEnsemble,
     BinaryScorer,
     TrainingConfig,
+    _KIND_FNS,
+    _prepare_inputs,
     logistic_scores,
     meta_feature_matrix,
     sample_tensors,
     train_base_ensemble,
+    train_scorer,
 )
 from osnids.samples import make_records
 
-from helpers import gradient_check
+from helpers import LOSS_AND_GRAD_ORACLES, gradient_check, train_scorer_oracle
 
 
 def _clustered_corpus(rng, n_clusters=3, per_cluster=40, sigma=6.0):
@@ -161,14 +164,59 @@ class TestTrainBaseEnsemble:
         with pytest.raises(MissingCluster):
             train_base_ensemble(samples, 4, config=TrainingConfig(epochs=1))
 
-    def test_threads_do_not_change_results(self):
-        rng = np.random.default_rng(11)
-        samples, _ = _clustered_corpus(rng, n_clusters=3, per_cluster=15)
-        cfg = TrainingConfig(epochs=3, seed=5)
-        seq = train_base_ensemble(samples, 3, config=cfg, threads=1)
-        par = train_base_ensemble(samples, 3, config=cfg, threads=3)
-        for a, b in zip(seq.scorers, par.scorers):
-            assert a.params.tobytes() == b.params.tobytes()
+
+class TestTrainingAgainstOracle:
+    """The sequential loop with a forward-only epoch loss and no layer-1
+    input gradient reproduces the old loop bit for bit."""
+
+    @staticmethod
+    def _config(kind, seed, epochs=4):
+        # 16 does not divide the 50 rows, so every epoch ends on a short batch;
+        # l2 = 1e-3 makes the penalty terms large enough that adding them in
+        # another order changes the last bit of some losses
+        lr = TrainingConfig.for_kind(kind).learning_rate
+        return TrainingConfig(epochs=epochs, batch_size=16, learning_rate=lr, l2=1e-3, seed=seed)
+
+    @pytest.mark.parametrize("kind", [LOGISTIC, CONVNET])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_train_scorer_matches_oracle(self, kind, seed):
+        samples, _ = _clustered_corpus(np.random.default_rng(30 + seed), n_clusters=2, per_cluster=25)
+        tensors = sample_tensors(samples)
+        y = (samples.cluster == seed).astype(np.float64)
+        config = self._config(kind, seed)
+        scorer = train_scorer(tensors, y, kind, config)
+        params, losses = train_scorer_oracle(tensors, y, kind, config)
+        assert scorer.params.tobytes() == params.tobytes()
+        assert np.array(scorer.training_meta["loss_curve"]).tobytes() == np.array(losses).tobytes()
+        assert len(losses) == config.epochs
+
+    @pytest.mark.parametrize("kind", [LOGISTIC, CONVNET])
+    def test_loss_and_grad_match_oracle(self, kind):
+        init, loss_and_grad, _ = _KIND_FNS[kind]
+        for seed in range(40, 48):  # a third of such batches expose a reordered penalty sum
+            rng = np.random.default_rng(seed)
+            X = _prepare_inputs(kind, rng.random((13, 20, 25, 3)))
+            y = (rng.random(13) < 0.5).astype(np.float64)
+            weights = np.where(y == 1, 1.3, 0.8)
+            params = init(3) + rng.normal(0, 0.05, init(3).shape)
+            loss, grad = loss_and_grad(params, X, y, weights, 1e-3)
+            oracle_loss, oracle_grad = LOSS_AND_GRAD_ORACLES[kind](params, X, y, weights, 1e-3)
+            assert np.float64(loss).tobytes() == np.float64(oracle_loss).tobytes()
+            assert grad.tobytes() == oracle_grad.tobytes()
+
+    def test_ensemble_matches_oracle_per_cluster(self):
+        samples, _ = _clustered_corpus(np.random.default_rng(42), n_clusters=3, per_cluster=17)
+        config = self._config(LOGISTIC, 9, epochs=4)
+        ensemble = train_base_ensemble(samples, 3, config=config)
+        seeds = np.random.SeedSequence(9).generate_state(3)
+        tensors = sample_tensors(samples)
+        for i, scorer in enumerate(ensemble.scorers):
+            y = (samples.cluster == i).astype(np.float64)
+            cluster_config = TrainingConfig(4, 16, config.learning_rate, config.l2, int(seeds[i]))
+            params, losses = train_scorer_oracle(tensors, y, LOGISTIC, cluster_config)
+            assert scorer.training_meta["seed"] == int(seeds[i])
+            assert scorer.params.tobytes() == params.tobytes()
+            assert scorer.training_meta["loss_curve"] == losses
 
 
 @pytest.fixture(scope="module")
