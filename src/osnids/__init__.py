@@ -33,7 +33,7 @@ from .evaluation import (
     generate_synthetic,
     naive_baseline,
 )
-from .features import from_rgb_image, normalize, to_rgb_image, write_ppm
+from .features import from_rgb_image, normalize, to_rgb_image
 from .learners import (
     BaseEnsemble,
     BinaryScorer,
@@ -51,7 +51,7 @@ from .meta import (
     train_meta_classifiers,
     vote,
 )
-from .persistence import load_bundle, load_sample_set, save_bundle, save_sample_set
+from .persistence import load_bundle, load_sample_set, save_bundle, save_sample_set, write_ppm
 from .samples import BENIGN_CLASS_ID, BENIGN_CLASS_NAME, RECORD_DTYPE, SampleSet, make_records
 from .splits import SplitResult, SplitSpec, build_splits, split_manifest
 

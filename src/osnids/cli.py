@@ -13,7 +13,7 @@ import logging
 import sys
 
 from . import meta, persistence, pipeline
-from .config import load_config, write_template
+from .config import default_config, load_config
 from .errors import ConfigError, PipelineError
 
 
@@ -73,7 +73,7 @@ def _cmd_predict(args) -> None:
         raise ConfigError(f"bundle {args.bundle} has no meta-classifiers")
     sample_set = persistence.load_sample_set(args.samples)
     verdicts, mf = meta.predict_batch(base, meta_ens, sample_set.samples)
-    meta.write_verdict_csv(args.out, mf, verdicts)
+    persistence.write_verdict_csv(args.out, mf, verdicts)
     n_attacks = sum(v.decision == meta.UNKNOWN_ATTACK for v in verdicts)
     print(f"{len(verdicts)} samples scored, {n_attacks} flagged as unknown attacks -> {args.out}")
 
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
         logging.basicConfig(level=level, format="%(name)s %(levelname)s %(message)s")
 
         if args.command == "config":
-            write_template(args.out)
+            persistence.write_json(args.out, default_config())
             print(f"wrote config template to {args.out}")
             return 0
         if args.command == "predict":

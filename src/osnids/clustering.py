@@ -9,8 +9,6 @@ silhouette over a k range, with the full SSE curve kept for elbow reading.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -29,6 +27,9 @@ from .errors import (
 from .samples import BENIGN_CLASS_ID
 
 _EPS = 1e-12
+# the standard exact t-SNE descent schedule
+EXAGGERATION_ITERS = 250
+MOMENTUM_EARLY, MOMENTUM_LATE, MOMENTUM_SWITCH_ITER = 0.5, 0.8, 250
 
 
 @dataclass(frozen=True)
@@ -36,18 +37,14 @@ class EmbeddingParams:
     perplexity: float = 30.0
     iterations: int = 1000
     early_exaggeration: float = 12.0
-    exaggeration_iters: int = 250
     learning_rate: float = 200.0
-    momentum_early: float = 0.5
-    momentum_late: float = 0.8
-    momentum_switch_iter: int = 250
     seed: int = 0
 
     def __post_init__(self):
         if self.perplexity <= 0:
             raise InvalidRange(f"perplexity must be > 0, got {self.perplexity}")
-        if self.iterations < 250:
-            raise InvalidRange(f"iterations must be >= 250, got {self.iterations}")
+        if self.iterations < EXAGGERATION_ITERS:
+            raise InvalidRange(f"iterations must be >= {EXAGGERATION_ITERS}, got {self.iterations}")
 
 
 def _squared_distances(X: np.ndarray, out=None, work=None) -> np.ndarray:
@@ -145,9 +142,9 @@ def tsne_embed(X, params: EmbeddingParams, return_trace: bool = False):
     num, work = np.empty((n, n)), np.empty((n, n))  # the loop allocates no n x n array
     kl_trace: list[float] = []
     for it in range(params.iterations):
-        exaggerating = it < params.exaggeration_iters
+        exaggerating = it < EXAGGERATION_ITERS
         P_eff = P_exaggerated if exaggerating else P
-        momentum = params.momentum_early if it < params.momentum_switch_iter else params.momentum_late
+        momentum = MOMENTUM_EARLY if it < MOMENTUM_SWITCH_ITER else MOMENTUM_LATE
 
         _student_t(Y, num, work)  # work = Q
         np.subtract(P_eff, work, out=work)
@@ -162,7 +159,7 @@ def tsne_embed(X, params: EmbeddingParams, return_trace: bool = False):
         Y += velocity
         Y -= Y.mean(axis=0)
 
-        if return_trace and not exaggerating and (it + 1 - params.exaggeration_iters) % 50 == 0:
+        if return_trace and not exaggerating and (it + 1 - EXAGGERATION_ITERS) % 50 == 0:
             _student_t(Y, num, work)
             kl_trace.append(_kl_divergence(P, work))
 
@@ -366,22 +363,3 @@ def annotate_clusters(samples: np.recarray, assignments) -> np.recarray:
     out = samples.copy()
     out.cluster = assignments
     return out
-
-
-def report_to_csv(report: ClusteringReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "sse", "silhouette"])
-        for k, sse, sil in report.per_k:
-            writer.writerow([k, repr(sse), repr(sil)])
-
-
-def report_to_json(report: ClusteringReport, path) -> None:
-    payload = {
-        "selected_n": report.selected_n,
-        "centroids": [[float(v) for v in row] for row in report.centroids],
-        "per_k": [{"k": k, "sse": sse, "silhouette": sil} for k, sse, sil in report.per_k],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -91,12 +91,6 @@ def default_config() -> dict:
     }
 
 
-def write_template(path) -> None:
-    with open(path, "w") as fh:
-        json.dump(default_config(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_config(path) -> dict:
     p = Path(path)
     try:
@@ -104,7 +98,7 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, non-UTF-8 bytes, absurd nesting
         raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {p} must be a JSON object")

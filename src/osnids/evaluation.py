@@ -7,7 +7,6 @@ benign traffic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -51,23 +50,12 @@ class EvalReport:
             "per_class": dict(sorted(self.per_class.items())),
         }
 
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "value"])
-            for key in ("tp", "tn", "fp", "fn"):
-                writer.writerow([key, getattr(self, key)])
-            for key, value in (("sensitivity", self.sensitivity), ("specificity", self.specificity)):
-                writer.writerow([key, "" if value is None else repr(value)])
-            for name, rate in sorted(self.per_class.items()):
-                writer.writerow([f"detection_rate[{name}]", "" if rate is None else repr(rate)])
+    def to_rows(self) -> list[tuple]:
+        """The (metric, value) table of eval_report.csv; an undefined rate is empty."""
+        rates = [("sensitivity", self.sensitivity), ("specificity", self.specificity)]
+        rates += [(f"detection_rate[{name}]", rate) for name, rate in sorted(self.per_class.items())]
+        counts = [(key, getattr(self, key)) for key in ("tp", "tn", "fp", "fn")]
+        return [("metric", "value"), *counts, *((key, "" if r is None else repr(r)) for key, r in rates)]
 
 
 def _report_from_predictions(

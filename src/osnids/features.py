@@ -50,14 +50,3 @@ def normalize(image: np.ndarray) -> np.ndarray:
     if img.shape != IMAGE_SHAPE:
         raise WrongLength(f"expected image of shape {IMAGE_SHAPE}, got {img.shape}")
     return img.astype(np.float64) / 255.0
-
-
-def write_ppm(image: np.ndarray, path) -> None:
-    """Debug export as a binary portable pixmap (P6, 25x20, maxval 255)."""
-    img = np.asarray(image)
-    if img.shape != IMAGE_SHAPE:
-        raise WrongLength(f"expected image of shape {IMAGE_SHAPE}, got {img.shape}")
-    header = f"P6\n{IMAGE_COLS} {IMAGE_ROWS}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(img.astype(np.uint8).tobytes())

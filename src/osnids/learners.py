@@ -52,6 +52,7 @@ _SHAPES = {
 }
 _ORDER = ("W1", "b1", "W2", "b2", "Wd", "bd")
 CONVNET_N_PARAMS = sum(int(np.prod(s)) for s in _SHAPES.values())
+SCORE_BLOCK = 256  # rows a scoring pass; 333-row blocks lost BLAS row alignment and changed last bits
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,6 @@ class BinaryScorer:
 class BaseEnsemble:
     scorers: list[BinaryScorer]
     n_clusters: int
-    input_geometry: tuple[int, int, int] = IMAGE_SHAPE
 
     def __post_init__(self):
         if self.n_clusters != len(self.scorers):
@@ -231,9 +231,10 @@ def _convnet_forward(params, X):
 
 
 def convnet_scores(params: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """X: (n, 20, 25, 3) normalized tensors."""
-    p, _ = _convnet_forward(params, X)
-    return p
+    """X: (n, 20, 25, 3) normalized tensors, SCORE_BLOCK rows a pass, so the
+    im2col buffers (0.5 MB a row) stay bounded; bit-equal to one whole-batch pass."""
+    starts = range(0, max(len(X), 1), SCORE_BLOCK)  # an empty batch is one empty block
+    return np.concatenate([_convnet_forward(params, X[i : i + SCORE_BLOCK])[0] for i in starts])
 
 
 def convnet_loss_and_grad(params, X, y, weights, l2):
@@ -367,14 +368,3 @@ def meta_feature_matrix(ensemble: BaseEnsemble, samples: np.recarray) -> np.ndar
         _, _, scores_fn = _KIND_FNS[scorer.kind]
         cols.append(scores_fn(scorer.params, _prepare_inputs(scorer.kind, tensors)))
     return np.stack(cols, axis=1)
-
-
-def write_training_curves_csv(ensemble: BaseEnsemble, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster", "epoch", "loss"])
-        for i, scorer in enumerate(ensemble.scorers):
-            for epoch, loss in enumerate(scorer.training_meta.get("loss_curve", [])):
-                writer.writerow([i, epoch, repr(loss)])

@@ -8,7 +8,6 @@ unknown attack, a deliberately security-conservative tie break.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -180,23 +179,3 @@ def predict_batch(
     mf = meta_feature_matrix(base, samples)
     bits = classifier_outputs(meta, mf)
     return [vote(row) for row in bits], mf
-
-
-def write_verdict_csv(path, mf: np.ndarray, verdicts: Sequence[Verdict]) -> None:
-    """Audit CSV: sample index, p_1..p_N, O_1..O_4, v, decision."""
-    n_features = mf.shape[1] if mf.ndim == 2 else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = (
-            ["index"]
-            + [f"p_{i + 1}" for i in range(n_features)]
-            + [f"O_{i + 1}" for i in range(VOTE_ARITY)]
-            + ["v", "decision"]
-        )
-        writer.writerow(header)
-        for i, verdict in enumerate(verdicts):
-            row = [i]
-            row += [repr(float(p)) for p in mf[i]]
-            row += list(verdict.outputs)
-            row += [repr(verdict.v), verdict.decision]
-            writer.writerow(row)

@@ -1,18 +1,24 @@
-"""On-disk formats: the binary sample-set file and the model bundle.
+"""Every file the program writes, and the binary formats it reads back.
 
-All integers are little-endian with fixed widths. Sample sets round-trip
-losslessly; model bundles carry a JSON manifest plus one CRC32-guarded
-binary parameter file per base scorer and per meta-classifier, and a
-reloaded bundle reproduces bit-identical predictions.
+Each write goes through `write_atomic`: `<name>.tmp` beside the target, then
+a rename over it, so a killed run leaves no half-written file. All integers
+are little-endian with fixed widths. Sample sets round-trip losslessly;
+model bundles carry a JSON manifest plus one CRC32-guarded binary parameter
+file per base scorer and per meta-classifier, and a reloaded bundle
+reproduces bit-identical predictions.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import itertools
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -24,16 +30,96 @@ from .errors import (
     IoFailure,
     ManifestInvalid,
     VersionUnsupported,
+    WrongLength,
 )
 from .features import IMAGE_SHAPE
 from .learners import BaseEnsemble, BinaryScorer, CONVNET, CONVNET_N_PARAMS, LOGISTIC, LOGISTIC_N_PARAMS
-from .meta import META_FAMILIES, LogisticMetaClassifier, MetaEnsemble
+from .meta import META_FAMILIES, VOTE_ARITY, LogisticMetaClassifier, MetaEnsemble, Verdict
 from .samples import RECORD_DTYPE, SampleSet
 from .trees import GradientBoostedTrees, RandomForest, TreeNodes
 
 SAMPLESET_MAGIC = b"OSNIDS1"
 SAMPLESET_VERSION = 1
 BUNDLE_FORMAT_VERSION = 1
+_CSV_CHUNK_ROWS = 4096
+
+
+# --- the one writer and the text formats on top of it ---
+
+
+def write_atomic(path, chunks: Iterable[bytes]) -> None:
+    """Write the chunks to `<path>.tmp`, then rename it over `path`. Any
+    `OSError` becomes `IoFailure`; on any failure the temporary file goes."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        try:
+            with open(tmp, "wb") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def write_json(path, obj) -> None:
+    write_atomic(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")])
+
+
+def write_csv(path, rows: Iterable[Sequence]) -> None:
+    """`csv.writer` rows (`\\r\\n` line ends) as UTF-8, encoded a block of rows
+    at a time, so a long table is never held whole."""
+
+    def chunks():
+        rows_left = iter(rows)
+        while block := list(itertools.islice(rows_left, _CSV_CHUNK_ROWS)):
+            buf = io.StringIO()
+            csv.writer(buf).writerows(block)
+            yield buf.getvalue().encode("utf-8")
+
+    write_atomic(path, chunks())
+
+
+def _read_bytes(path) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path) -> dict:
+    """A workdir JSON object: `IoFailure` when it cannot be read,
+    `ManifestInvalid` when it is not valid JSON or not an object."""
+    try:
+        obj = json.loads(_read_bytes(path))
+    except (ValueError, RecursionError) as exc:  # bad JSON, non-UTF-8 bytes, absurd nesting
+        raise ManifestInvalid(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ManifestInvalid(f"{path}: must hold a JSON object")
+    return obj
+
+
+def write_verdict_csv(path, mf: np.ndarray, verdicts: Sequence[Verdict]) -> None:
+    """Audit CSV: sample index, p_1..p_N, O_1..O_4, v, decision."""
+    header = ["index", *(f"p_{i + 1}" for i in range(mf.shape[1]))]
+    header += [f"O_{i + 1}" for i in range(VOTE_ARITY)] + ["v", "decision"]
+    rows = (
+        [i, *map(repr, p), *v.outputs, repr(v.v), v.decision]
+        for i, (p, v) in enumerate(zip(mf.tolist(), verdicts))
+    )
+    write_csv(path, itertools.chain([header], rows))
+
+
+def write_ppm(image: np.ndarray, path) -> None:
+    """Debug export of a feature image as a binary portable pixmap (P6, 25x20, maxval 255)."""
+    img = np.asarray(image)
+    if img.shape != IMAGE_SHAPE:
+        raise WrongLength(f"expected image of shape {IMAGE_SHAPE}, got {img.shape}")
+    header = f"P6\n{IMAGE_SHAPE[1]} {IMAGE_SHAPE[0]}\n255\n".encode("ascii")
+    write_atomic(path, [header, img.astype(np.uint8).tobytes()])
 
 
 # --- sample sets ---
@@ -45,23 +131,13 @@ def save_sample_set(sample_set: SampleSet, path) -> None:
         raw = name.encode("utf-8")
         header += struct.pack("<H", len(raw)) + raw
     header += struct.pack("<Q", len(sample_set.samples))
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(sample_set.samples.tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write sample set {path}: {exc}") from exc
+    write_atomic(path, [header, sample_set.samples.tobytes()])
 
 
 def load_sample_set(path) -> SampleSet:
     """Parse the header, then view the records as one read-only record
     array over the file bytes."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read sample set {path}: {exc}") from exc
-
+    blob = _read_bytes(path)
     if blob[: len(SAMPLESET_MAGIC)] != SAMPLESET_MAGIC:
         raise BadMagic(f"{path}: not a sample-set file")
     pos = len(SAMPLESET_MAGIC)
@@ -104,21 +180,11 @@ def load_sample_set(path) -> SampleSet:
 
 
 def _write_payload(path: Path, payload: bytes) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<I", len(payload)))
-            fh.write(payload)
-            fh.write(struct.pack("<I", zlib.crc32(payload)))
-    except OSError as exc:
-        raise IoFailure(f"cannot write parameter file {path}: {exc}") from exc
+    write_atomic(path, [struct.pack("<I", len(payload)), payload, struct.pack("<I", zlib.crc32(payload))])
 
 
 def _read_payload(path: Path) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read parameter file {path}: {exc}") from exc
+    blob = _read_bytes(path)
     if len(blob) < 8:
         raise ManifestInvalid(f"{path}: parameter file too short")
     (length,) = struct.unpack_from("<I", blob, 0)
@@ -270,11 +336,6 @@ def _decode_meta_classifier(family: str, payload: bytes, n_features: int):
 # --- model bundles ---
 
 
-def _scorer_manifest_meta(scorer: BinaryScorer) -> dict:
-    meta = {k: v for k, v in scorer.training_meta.items() if k != "loss_curve"}
-    return meta
-
-
 def save_bundle(
     base: BaseEnsemble,
     meta: Optional[MetaEnsemble],
@@ -312,7 +373,7 @@ def save_bundle(
         "image_geometry": list(IMAGE_SHAPE),
         "scorer_kinds": [s.kind for s in base.scorers],
         "scorer_files": scorer_files,
-        "scorer_meta": [_scorer_manifest_meta(s) for s in base.scorers],
+        "scorer_meta": [{k: v for k, v in s.training_meta.items() if k != "loss_curve"} for s in base.scorers],
         "meta_families": families,
         "meta_files": meta_files,
         "meta_holdout_accuracy": holdout,
@@ -322,17 +383,15 @@ def save_bundle(
         },
         "training_config_digest": config_digest,
     }
+    write_json(root / "manifest.json", manifest)
     listed = set(scorer_files + meta_files)
     try:
-        with open(root / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
         # parameter files of an earlier save that this manifest no longer lists
         for stale in [*root.glob("base_*.bin"), *root.glob("meta_*.bin")]:
             if stale.name not in listed:
                 stale.unlink()
     except OSError as exc:
-        raise IoFailure(f"cannot write bundle manifest or remove stale parameter files: {exc}") from exc
+        raise IoFailure(f"cannot remove stale parameter files: {exc}") from exc
 
 
 def _field(manifest: dict, key: str, kind: type, default, item: Optional[type] = None):
@@ -350,17 +409,7 @@ def _field(manifest: dict, key: str, kind: type, default, item: Optional[type] =
 
 def load_bundle(path) -> tuple[BaseEnsemble, Optional[MetaEnsemble]]:
     root = Path(path)
-    manifest_path = root / "manifest.json"
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read bundle manifest {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ManifestInvalid(f"{manifest_path}: not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ManifestInvalid(f"{manifest_path}: manifest must be a JSON object")
-
+    manifest = read_json(root / "manifest.json")
     version = manifest.get("format_version")
     if version != BUNDLE_FORMAT_VERSION:
         raise VersionUnsupported(f"bundle format version {version} unsupported")

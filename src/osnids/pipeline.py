@@ -14,7 +14,7 @@ import numpy as np
 
 from . import capture, clustering, evaluation, learners, meta, persistence, splits
 from .config import require
-from .errors import ConfigError, UntrainedModel
+from .errors import ConfigError, IoFailure, ManifestInvalid, UntrainedModel
 from .samples import BENIGN_CLASS_ID, SampleSet
 
 log = logging.getLogger("osnids")
@@ -36,7 +36,10 @@ VERDICTS = "verdicts.csv"
 
 def workdir_of(cfg: dict) -> Path:
     wd = Path(require(cfg, "workdir"))
-    wd.mkdir(parents=True, exist_ok=True)
+    try:
+        wd.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create workdir {wd}: {exc}") from exc
     return wd
 
 
@@ -69,9 +72,7 @@ def stage_synth(cfg: dict) -> Path:
     )
     corpus = evaluation.generate_synthetic(config)
     persistence.save_sample_set(corpus.sample_set, wd / SAMPLES)
-    with open(wd / HELDOUT, "w") as fh:
-        json.dump({"heldout_classes": corpus.heldout_classes}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    persistence.write_json(wd / HELDOUT, {"heldout_classes": corpus.heldout_classes})
     log.info("synth: %d samples, %d classes", len(corpus.sample_set), len(corpus.sample_set.class_names))
     return wd / SAMPLES
 
@@ -100,9 +101,7 @@ def stage_ingest(cfg: dict) -> Path:
         "after_dedup": len(deduped),
         "after_undersample": len(final),
     }
-    with open(wd / INGEST_REPORT, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    persistence.write_json(wd / INGEST_REPORT, report)
     log.info("ingest: %d packets -> %d samples", len(parsed.packets), len(final))
     return wd / SAMPLES
 
@@ -113,8 +112,10 @@ def _heldout_classes(cfg: dict, wd: Path) -> list[str]:
         heldout_file = wd / HELDOUT
         if not heldout_file.exists():
             raise ConfigError(f"{heldout_file} not found; run the synth stage first")
-        with open(heldout_file) as fh:
-            return json.load(fh)["heldout_classes"]
+        classes = persistence.read_json(heldout_file).get("heldout_classes")
+        if not isinstance(classes, list):
+            raise ManifestInvalid(f"{heldout_file}: heldout_classes must be a list")
+        return classes
     return list(require(cfg, "split.heldout_classes"))
 
 
@@ -129,7 +130,7 @@ def stage_split(cfg: dict) -> splits.SplitResult:
     result = splits.build_splits(sample_set, spec)
     for name, part in ((D1, result.d1), (D2, result.d2), (D3, result.d3)):
         persistence.save_sample_set(SampleSet(class_names=result.class_names, samples=part), wd / name)
-    splits.write_manifest_csv(result.manifest, wd / SPLIT_MANIFEST)
+    persistence.write_csv(wd / SPLIT_MANIFEST, [("split", "class", "count"), *result.manifest])
     log.info("split: d1=%d d2=%d d3=%d", len(result.d1), len(result.d2), len(result.d3))
     return result
 
@@ -154,8 +155,13 @@ def stage_cluster(cfg: dict) -> clustering.ClusteringReport:
     )
     annotated = clustering.annotate_clusters(d1.samples, report.assignments)
     persistence.save_sample_set(SampleSet(class_names=d1.class_names, samples=annotated), wd / D1_CLUSTERED)
-    clustering.report_to_csv(report, wd / CLUSTER_CSV)
-    clustering.report_to_json(report, wd / CLUSTER_JSON)
+    per_k = [(k, repr(sse), repr(sil)) for k, sse, sil in report.per_k]
+    persistence.write_csv(wd / CLUSTER_CSV, [("k", "sse", "silhouette"), *per_k])
+    persistence.write_json(wd / CLUSTER_JSON, {
+        "selected_n": report.selected_n,
+        "centroids": report.centroids.tolist(),
+        "per_k": [{"k": k, "sse": sse, "silhouette": sil} for k, sse, sil in report.per_k],
+    })
     log.info("cluster: selected N=%d", report.selected_n)
     return report
 
@@ -163,8 +169,7 @@ def stage_cluster(cfg: dict) -> clustering.ClusteringReport:
 def stage_train_base(cfg: dict) -> learners.BaseEnsemble:
     wd = workdir_of(cfg)
     d1 = persistence.load_sample_set(wd / D1_CLUSTERED)
-    with open(wd / CLUSTER_JSON) as fh:
-        n = int(json.load(fh)["selected_n"])
+    n = len(np.unique(d1.samples.cluster))  # train_base_ensemble refuses ids that are not 0..n-1
     kind = require(cfg, "learners.kind")
     config = learners.TrainingConfig(
         epochs=int(require(cfg, "learners.epochs")),
@@ -175,7 +180,12 @@ def stage_train_base(cfg: dict) -> learners.BaseEnsemble:
     )
     ensemble = learners.train_base_ensemble(d1.samples, n, config=config, kind=kind)
     persistence.save_bundle(ensemble, None, wd / BUNDLE_DIR, config_digest=_config_digest(cfg))
-    learners.write_training_curves_csv(ensemble, wd / TRAINING_CURVES)
+    curves = [
+        (i, epoch, repr(loss))
+        for i, scorer in enumerate(ensemble.scorers)
+        for epoch, loss in enumerate(scorer.training_meta["loss_curve"])
+    ]
+    persistence.write_csv(wd / TRAINING_CURVES, [("cluster", "epoch", "loss"), *curves])
     log.info("train-base: %d scorers (%s)", n, kind)
     return ensemble
 
@@ -208,9 +218,9 @@ def stage_evaluate(cfg: dict) -> evaluation.EvalReport:
         raise UntrainedModel("bundle has no meta-classifiers; run train-meta first")
     d3 = persistence.load_sample_set(wd / D3)
     report, verdicts, mf = evaluation.evaluate(base, meta_ens, d3.samples, d3.class_names)
-    report.write_json(wd / EVAL_REPORT)
-    report.write_csv(wd / EVAL_REPORT_CSV)
-    meta.write_verdict_csv(wd / VERDICTS, mf, verdicts)
+    persistence.write_json(wd / EVAL_REPORT, report.to_dict())
+    persistence.write_csv(wd / EVAL_REPORT_CSV, report.to_rows())
+    persistence.write_verdict_csv(wd / VERDICTS, mf, verdicts)
     if bool(require(cfg, "eval.run_baseline")):
         d1_path = wd / D1_CLUSTERED if (wd / D1_CLUSTERED).exists() else wd / D1
         d1 = persistence.load_sample_set(d1_path)
@@ -218,7 +228,7 @@ def stage_evaluate(cfg: dict) -> evaluation.EvalReport:
             d1.samples, d3.samples, d3.class_names,
             threshold_quantile=float(require(cfg, "eval.baseline_quantile")),
         )
-        baseline.write_json(wd / BASELINE_REPORT)
+        persistence.write_json(wd / BASELINE_REPORT, baseline.to_dict())
     log.info(
         "evaluate: sensitivity=%s specificity=%s",
         report.sensitivity,

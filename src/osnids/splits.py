@@ -3,7 +3,6 @@ attacks) and D3 (benign + held-out attacks)."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,10 +87,3 @@ def split_manifest(result: SplitResult) -> list[tuple[str, str, int]]:
         labels, counts = np.unique(split.label, return_counts=True)
         rows += [(split_name, result.class_names[label], int(c)) for label, c in zip(labels, counts)]
     return rows
-
-
-def write_manifest_csv(rows: list[tuple[str, str, int]], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["split", "class", "count"])
-        writer.writerows(rows)

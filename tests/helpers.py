@@ -215,9 +215,9 @@ def tsne_oracle(X, params):
     gains = np.ones_like(Y)
     kl_trace = []
     for it in range(params.iterations):
-        exaggerating = it < params.exaggeration_iters
+        exaggerating = it < clustering.EXAGGERATION_ITERS
         P_eff = P * params.early_exaggeration if exaggerating else P
-        momentum = params.momentum_early if it < params.momentum_switch_iter else params.momentum_late
+        momentum = clustering.MOMENTUM_EARLY if it < clustering.MOMENTUM_SWITCH_ITER else clustering.MOMENTUM_LATE
         num = 1.0 / (1.0 + sqdist(Y))
         np.fill_diagonal(num, 0.0)
         Q = num / num.sum()
@@ -230,7 +230,7 @@ def tsne_oracle(X, params):
         velocity = momentum * velocity - params.learning_rate * (gains * grad)
         Y += velocity
         Y -= Y.mean(axis=0)
-        if not exaggerating and (it + 1 - params.exaggeration_iters) % 50 == 0:
+        if not exaggerating and (it + 1 - clustering.EXAGGERATION_ITERS) % 50 == 0:
             num = 1.0 / (1.0 + sqdist(Y))
             np.fill_diagonal(num, 0.0)
             kl_trace.append(kl(P, num / num.sum()))

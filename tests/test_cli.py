@@ -302,6 +302,12 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("blob", [b'{"seed": "\xff"}', b"[" * 100_000], ids=["non_utf8", "deeply_nested"])
+    def test_undecodable_config(self, tmp_path, blob):
+        path = tmp_path / "bad.json"
+        path.write_bytes(blob)
+        assert main(["run", "--config", str(path)]) == 1
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 1
 
@@ -409,6 +415,47 @@ class TestExitCodes:
                                "--out", str(tmp_path / "v.csv")])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("case", ["predict_out_dir_missing", "config_init_out_dir_missing",
+                                      "eval_report_is_a_directory", "heldout_json_truncated",
+                                      "workdir_under_a_file"])
+    def test_unwritable_or_unreadable_workdir_file_is_io_error(self, finished_run, tmp_path, case):
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        config_path = _write_config(tmp_path, {**cfg, "workdir": str(wd)})
+        if case == "predict_out_dir_missing":
+            argv = ["predict", "--bundle", str(wd / "bundle"), "--samples", str(wd / "d3.sset"),
+                    "--out", str(tmp_path / "missing" / "v.csv")]
+        elif case == "config_init_out_dir_missing":
+            argv = ["config", "init", "--out", str(tmp_path / "missing" / "run.json")]
+        elif case == "eval_report_is_a_directory":
+            (wd / "eval_report.json").unlink()
+            (wd / "eval_report.json").mkdir()
+            argv = ["evaluate", "--config", config_path]
+        elif case == "heldout_json_truncated":
+            (wd / "heldout.json").write_bytes((wd / "heldout.json").read_bytes()[:10])
+            argv = ["split", "--config", config_path]
+        else:
+            argv = ["synth", "--config", _write_config(tmp_path, {**cfg, "workdir": str(wd / "d1.sset" / "wd")})]
+        proc = _run_cli_child(argv)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_train_base_does_not_read_clustering_json(self, finished_run, tmp_path):
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        (wd / "clustering.json").unlink()
+        proc = _run_cli_child(["train-base", "--config", _write_config(tmp_path, {**cfg, "workdir": str(wd)})])
+        assert proc.returncode == 0, proc.stderr
+        assert (wd / "bundle" / "base_000.bin").read_bytes() == (workdir / "bundle" / "base_000.bin").read_bytes()
+        assert (wd / "training_curves.csv").read_bytes() == (workdir / "training_curves.csv").read_bytes()
 
     def test_seed_override_changes_run(self, finished_run, tmp_path):
         _, workdir, cfg, _ = finished_run

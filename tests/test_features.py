@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from osnids.errors import ValueOutOfRange, WrongLength
-from osnids.features import IMAGE_SHAPE, from_rgb_image, normalize, to_rgb_image, write_ppm
+from osnids.features import IMAGE_SHAPE, from_rgb_image, normalize, to_rgb_image
+from osnids.persistence import write_ppm
 
 
 class TestToRgbImage:

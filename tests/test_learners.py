@@ -12,11 +12,14 @@ from osnids.learners import (
     CONVNET,
     CONVNET_N_PARAMS,
     LOGISTIC,
+    SCORE_BLOCK,
     BaseEnsemble,
     BinaryScorer,
     TrainingConfig,
     _KIND_FNS,
+    _convnet_forward,
     _prepare_inputs,
+    convnet_scores,
     logistic_scores,
     meta_feature_matrix,
     sample_tensors,
@@ -89,6 +92,21 @@ class TestScore:
             scorer = BinaryScorer(kind=kind, params=rng.normal(0, 5.0, n_params))
             mf = meta_feature_matrix(_pair(scorer), _random_records(rng, 25))
             assert np.all((0.0 <= mf) & (mf <= 1.0))
+
+    def test_convnet_scores_in_blocks_bit_equal_to_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        params = rng.normal(0, 0.5, CONVNET_N_PARAMS)
+        X = sample_tensors(_random_records(rng, 600))
+        whole, _ = _convnet_forward(params, X)
+        seen = []
+
+        def forward(params, X):
+            seen.append(len(X))
+            return _convnet_forward(params, X)
+
+        monkeypatch.setattr("osnids.learners._convnet_forward", forward)
+        assert convnet_scores(params, X).tobytes() == whole.tobytes()
+        assert seen == [SCORE_BLOCK, SCORE_BLOCK, 600 - 2 * SCORE_BLOCK] and SCORE_BLOCK == 256
 
 
 class TestTrainBaseLearner:

@@ -15,8 +15,8 @@ from osnids.meta import (
     predict_batch,
     train_meta_classifiers,
     vote,
-    write_verdict_csv,
 )
+from osnids.persistence import write_verdict_csv
 from osnids.samples import make_records
 
 

@@ -1,5 +1,8 @@
+import ast
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from osnids.persistence import (
     load_sample_set,
     save_bundle,
     save_sample_set,
+    write_csv,
 )
 from osnids.samples import SampleSet, make_records
 
@@ -402,3 +406,52 @@ class TestHostileBundles:
         with np.errstate(over="ignore", invalid="ignore"):  # mutated weights may overflow
             verdicts, mf = predict_batch(base, meta, trained_pair[2][:2])
         assert len(verdicts) == 2 and mf.shape == (2, 2)
+
+
+class TestAtomicWriter:
+    def test_rows_that_raise_partway_leave_the_old_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv(path, [("k", "v"), (1, "a")])
+        before = path.read_bytes()
+
+        def rows():
+            for i in range(10_000):
+                yield (i, "x" * 50)
+            # the first blocks of rows are already in the temporary file
+            assert (tmp_path / "table.csv.tmp").stat().st_size > 0
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_csv(path, rows())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+
+_MODE = re.compile(r"[rwxabt+]+")
+
+
+def _file_writes(tree: ast.AST) -> list[int]:
+    """Lines that call `write_text`/`write_bytes`, or `open` (builtin,
+    `io.open`, `Path.open`) with a literal mode that writes, appends or
+    creates."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            literals = [a.value for a in [*node.args, *(kw.value for kw in node.keywords)] if isinstance(a, ast.Constant)]
+            modes = [m for m in literals if isinstance(m, str) and _MODE.fullmatch(m)]
+            if name in ("write_text", "write_bytes") or (name == "open" and any(set("wax") & set(m) for m in modes)):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_persistence_writes_files():
+    import osnids
+
+    src = Path(osnids.__file__).resolve().parent
+    offenders = {
+        path.name: _file_writes(ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(src.glob("*.py"))
+        if path.name != "persistence.py"
+    }
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
