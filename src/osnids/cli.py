@@ -74,8 +74,7 @@ def _cmd_predict(args) -> None:
     sample_set = persistence.load_sample_set(args.samples)
     verdicts, mf = meta.predict_batch(base, meta_ens, sample_set.samples)
     persistence.write_verdict_csv(args.out, mf, verdicts)
-    n_attacks = sum(v.decision == meta.UNKNOWN_ATTACK for v in verdicts)
-    print(f"{len(verdicts)} samples scored, {n_attacks} flagged as unknown attacks -> {args.out}")
+    print(f"{len(verdicts)} samples scored, {verdicts.attack.sum()} flagged as unknown attacks -> {args.out}")
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EmptyDataset, InvalidRange, SeparationUnsatisfiable
 from .learners import BaseEnsemble
-from .meta import MetaEnsemble, UNKNOWN_ATTACK, Verdict, predict_batch
+from .meta import MetaEnsemble, Verdicts, predict_batch
 from .samples import BENIGN_CLASS_ID, BENIGN_CLASS_NAME, FEATURE_LEN, SampleSet, make_records
 
 
@@ -82,13 +82,12 @@ def evaluate(
     meta: MetaEnsemble,
     d3: np.recarray,
     class_names: Sequence[str],
-) -> tuple[EvalReport, list[Verdict], np.ndarray]:
+) -> tuple[EvalReport, Verdicts, np.ndarray]:
     """Confusion counts plus per-true-class detection rates over D3."""
     if len(d3) == 0:
         raise EmptyDataset("evaluation dataset is empty")
     verdicts, mf = predict_batch(base, meta, d3)
-    preds = [v.decision == UNKNOWN_ATTACK for v in verdicts]
-    return _report_from_predictions(d3, preds, class_names), verdicts, mf
+    return _report_from_predictions(d3, verdicts.attack, class_names), verdicts, mf
 
 
 # --- synthetic corpus ---

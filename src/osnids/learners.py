@@ -177,7 +177,7 @@ def _windows(x: np.ndarray) -> np.ndarray:
     v = np.lib.stride_tricks.sliding_window_view(x, (3, 3), axis=(1, 2))
     # sliding_window_view yields (B, H', W', C, 3, 3); reorder to (.., 3, 3, C)
     return np.ascontiguousarray(v.transpose(0, 1, 2, 4, 5, 3)).reshape(
-        x.shape[0], x.shape[1] - 2, x.shape[2] - 2, -1
+        x.shape[0], x.shape[1] - 2, x.shape[2] - 2, 9 * x.shape[3]
     )
 
 
@@ -195,24 +195,22 @@ def _conv_param_grads(dout, cols, W):
 
 
 def _pool_forward(x):
-    B, H, W, C = x.shape
-    Hp, Wp = H // 2, W // 2
-    x = x[:, : Hp * 2, : Wp * 2, :]
-    win = x.reshape(B, Hp, 2, Wp, 2, C).transpose(0, 1, 3, 2, 4, 5).reshape(B, Hp, Wp, 4, C)
-    idx = win.argmax(axis=3)
-    out = np.take_along_axis(win, idx[:, :, :, None, :], axis=3).squeeze(axis=3)
+    """2x2 max-pool; `idx` is each max's slot in its window (row-major), ties keeping the first."""
+    Hp, Wp = x.shape[1] // 2, x.shape[2] // 2
+    out = x[:, 0 : 2 * Hp : 2, 0 : 2 * Wp : 2]
+    idx = np.zeros(out.shape, dtype=np.intp)
+    for k in (1, 2, 3):
+        slot = x[:, k // 2 : 2 * Hp : 2, k % 2 : 2 * Wp : 2]
+        above = slot > out
+        out = np.where(above, slot, out)
+        idx[above] = k
     return out, idx
 
 
 def _pool_backward(dout, idx, x_shape):
-    B, H, W, C = x_shape
-    Hp, Wp = H // 2, W // 2
-    dwin = np.zeros((B, Hp, Wp, 4, C))
-    np.put_along_axis(dwin, idx[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
     dx = np.zeros(x_shape)
-    dx[:, : Hp * 2, : Wp * 2, :] = (
-        dwin.reshape(B, Hp, Wp, 2, 2, C).transpose(0, 1, 3, 2, 4, 5).reshape(B, Hp * 2, Wp * 2, C)
-    )
+    for k in range(4):  # each window slot takes the gradient where it held the max
+        dx[:, k // 2 : 2 * idx.shape[1] : 2, k % 2 : 2 * idx.shape[2] : 2] = np.where(idx == k, dout, 0.0)
     return dx
 
 
@@ -223,7 +221,7 @@ def _convnet_forward(params, X):
     z2, cols2 = _conv_forward(a1, t["W2"], t["b2"])
     a2 = np.maximum(z2, 0.0)
     pooled, idx = _pool_forward(a2)
-    flat = pooled.reshape(X.shape[0], -1)
+    flat = pooled.reshape(X.shape[0], _DENSE_IN)
     logit = flat @ t["Wd"] + t["bd"][0]
     p = _sigmoid(logit)
     cache = (t, cols1, z1, a1, cols2, z2, a2, idx, flat)
@@ -356,15 +354,17 @@ def train_base_ensemble(
 
 
 def meta_feature_matrix(ensemble: BaseEnsemble, samples: np.recarray) -> np.ndarray:
-    """The records' N membership probabilities, in cluster order: (n, N).
-    A single sample is a one-row slice."""
+    """The records' N membership probabilities, in cluster order: (n, N), built and
+    scored a block of rows at a time. A single sample is a one-row slice."""
     if not ensemble.scorers:
         raise UntrainedEnsemble("base ensemble has no trained scorers")
-    tensors = sample_tensors(samples)
-    cols = []
     for scorer in ensemble.scorers:
-        if tuple(scorer.input_geometry) != tensors.shape[1:]:
-            raise GeometryMismatch(f"scorer expects {scorer.input_geometry}, inputs are {tensors.shape[1:]}")
-        _, _, scores_fn = _KIND_FNS[scorer.kind]
-        cols.append(scores_fn(scorer.params, _prepare_inputs(scorer.kind, tensors)))
-    return np.stack(cols, axis=1)
+        if tuple(scorer.input_geometry) != IMAGE_SHAPE:
+            raise GeometryMismatch(f"scorer expects {scorer.input_geometry}, inputs are {IMAGE_SHAPE}")
+    out = np.empty((len(samples), len(ensemble.scorers)))
+    for i in range(0, len(samples), SCORE_BLOCK):  # one block's tensors at a time, not the batch's
+        tensors = sample_tensors(samples[i : i + SCORE_BLOCK])
+        for j, scorer in enumerate(ensemble.scorers):
+            scores = _KIND_FNS[scorer.kind][2]
+            out[i : i + SCORE_BLOCK, j] = scores(scorer.params, _prepare_inputs(scorer.kind, tensors))
+    return out

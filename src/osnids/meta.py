@@ -8,8 +8,9 @@ unknown attack, a deliberately security-conservative tie break.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -157,25 +158,35 @@ def classifier_outputs(meta: MetaEnsemble, features: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+class Verdicts(Sequence):
+    """A batch's verdicts as arrays: `bits` (n, 4), their means `v` and
+    `attack` = v >= 0.5. Indexing builds one `Verdict` of Python values."""
+
+    def __init__(self, bits: np.ndarray):
+        self.bits = bits
+        self.v = bits.sum(axis=1) / VOTE_ARITY
+        self.attack = self.v >= 0.5
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def __getitem__(self, i: int) -> Verdict:
+        decision = UNKNOWN_ATTACK if self.attack[i] else BENIGN
+        return Verdict(decision=decision, v=float(self.v[i]), outputs=tuple(self.bits[i].tolist()))
+
+
 def vote(outputs: Sequence[int]) -> Verdict:
     """Mean of the four bits; V >= 0.5 classifies as unknown attack."""
-    bits = tuple(int(o) for o in outputs)
-    if len(bits) != VOTE_ARITY:
-        raise WrongArity(f"expected {VOTE_ARITY} meta outputs, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise WrongArity(f"meta outputs must be bits, got {bits}")
-    v = sum(bits) / VOTE_ARITY
-    decision = UNKNOWN_ATTACK if v >= 0.5 else BENIGN
-    return Verdict(decision=decision, v=v, outputs=bits)
+    bits = np.array([[int(o) for o in outputs]])
+    if bits.shape[1] != VOTE_ARITY or not np.isin(bits, (0, 1)).all():
+        raise WrongArity(f"expected {VOTE_ARITY} meta output bits, got {bits[0].tolist()}")
+    return Verdicts(bits)[0]
 
 
-def predict_batch(
-    base: BaseEnsemble, meta: MetaEnsemble, samples: np.recarray
-) -> tuple[list[Verdict], np.ndarray]:
+def predict_batch(base: BaseEnsemble, meta: MetaEnsemble, samples: np.recarray) -> tuple[Verdicts, np.ndarray]:
     """Verdicts for a record array, plus the meta-feature matrix. A single
     sample is a one-row slice."""
     if not base.scorers or not meta.classifiers:
         raise UntrainedModel("both base and meta ensembles must be trained")
     mf = meta_feature_matrix(base, samples)
-    bits = classifier_outputs(meta, mf)
-    return [vote(row) for row in bits], mf
+    return Verdicts(classifier_outputs(meta, mf)), mf

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .features import IMAGE_SHAPE
 from .learners import BaseEnsemble, BinaryScorer, CONVNET, CONVNET_N_PARAMS, LOGISTIC, LOGISTIC_N_PARAMS
-from .meta import META_FAMILIES, VOTE_ARITY, LogisticMetaClassifier, MetaEnsemble, Verdict
+from .meta import BENIGN, META_FAMILIES, UNKNOWN_ATTACK, VOTE_ARITY, LogisticMetaClassifier, MetaEnsemble, Verdicts
 from .samples import RECORD_DTYPE, SampleSet
 from .trees import GradientBoostedTrees, RandomForest, TreeNodes
 
@@ -102,15 +102,22 @@ def read_json(path) -> dict:
     return obj
 
 
-def write_verdict_csv(path, mf: np.ndarray, verdicts: Sequence[Verdict]) -> None:
-    """Audit CSV: sample index, p_1..p_N, O_1..O_4, v, decision."""
+def write_verdict_csv(path, mf: np.ndarray, verdicts: Verdicts) -> None:
+    """Audit CSV: sample index, p_1..p_N, O_1..O_4, v, decision: `write_csv`'s bytes (no field
+    needs quoting), formatted a column at a time per block of rows."""
     header = ["index", *(f"p_{i + 1}" for i in range(mf.shape[1]))]
     header += [f"O_{i + 1}" for i in range(VOTE_ARITY)] + ["v", "decision"]
-    rows = (
-        [i, *map(repr, p), *v.outputs, repr(v.v), v.decision]
-        for i, (p, v) in enumerate(zip(mf.tolist(), verdicts))
-    )
-    write_csv(path, itertools.chain([header], rows))
+
+    def chunks():
+        yield (",".join(header) + "\r\n").encode("utf-8")
+        for start in range(0, len(mf), _CSV_CHUNK_ROWS):
+            b = slice(start, start + _CSV_CHUNK_ROWS)
+            values = [range(len(mf))[b], *mf[b].T.tolist(), *verdicts.bits[b].T.tolist(), verdicts.v[b].tolist()]
+            decisions = map((BENIGN, UNKNOWN_ATTACK).__getitem__, verdicts.attack[b].tolist())
+            rows = map(",".join, zip(*(map(repr, col) for col in values), decisions))  # repr(int) is str(int)
+            yield ("\r\n".join(rows) + "\r\n").encode("utf-8")
+
+    write_atomic(path, chunks())
 
 
 def write_ppm(image: np.ndarray, path) -> None:

@@ -7,6 +7,8 @@ check.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import struct
 import zlib
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from osnids import clustering, learners
+from osnids import clustering, learners, meta, trees
 
 # --- pcap fixture construction ---
 
@@ -540,3 +542,68 @@ def train_scorer_oracle(tensors, y, kind, config):
         epoch_loss, _ = loss_and_grad(params, X, y, weights, config.l2)
         losses.append(float(epoch_loss))
     return params, losses
+
+
+# --- serving-path oracles ---
+# The serving path as first written: one whole-batch pass of every scorer,
+# every row through every tree, and the verdict CSV as `csv.writer` rows of
+# `Verdict` objects. Block scoring, distinct-row routing and the column-wise
+# CSV must reproduce these bytes exactly.
+
+
+def pool_forward_oracle(x):
+    """2x2 max-pool by `argmax` over the transposed window view."""
+    B, H, W, C = x.shape
+    Hp, Wp = H // 2, W // 2
+    x = x[:, : Hp * 2, : Wp * 2, :]
+    win = x.reshape(B, Hp, 2, Wp, 2, C).transpose(0, 1, 3, 2, 4, 5).reshape(B, Hp, Wp, 4, C)
+    idx = win.argmax(axis=3)
+    out = np.take_along_axis(win, idx[:, :, :, None, :], axis=3).squeeze(axis=3)
+    return out, idx
+
+
+def pool_backward_oracle(dout, idx, x_shape):
+    """Scatter each window's gradient to its max slot by `put_along_axis`."""
+    B, H, W, C = x_shape
+    Hp, Wp = H // 2, W // 2
+    dwin = np.zeros((B, Hp, Wp, 4, C))
+    np.put_along_axis(dwin, idx[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
+    dx = np.zeros(x_shape)
+    dx[:, : Hp * 2, : Wp * 2, :] = (
+        dwin.reshape(B, Hp, Wp, 2, 2, C).transpose(0, 1, 3, 2, 4, 5).reshape(B, Hp * 2, Wp * 2, C)
+    )
+    return dx
+
+
+def meta_feature_oracle(ensemble, samples):
+    """Every scorer over the whole batch's tensors in one pass: (n, N)."""
+    tensors = learners.sample_tensors(samples)
+    cols = []
+    for scorer in ensemble.scorers:
+        if scorer.kind == learners.LOGISTIC:
+            cols.append(learners.logistic_scores(scorer.params, learners._prepare_inputs(scorer.kind, tensors)))
+        else:
+            cols.append(learners._convnet_forward(scorer.params, tensors)[0])
+    return np.stack(cols, axis=1)
+
+
+def forest_proba_oracle(forest, X):
+    return np.mean([trees.predict_tree(t, X) for t in forest.trees], axis=0)
+
+
+def boost_proba_oracle(model, X):
+    F = np.full(X.shape[0], model.base_score)
+    for tree in model.trees:
+        F = F + model.learning_rate * trees.predict_tree(tree, X)
+    return 1.0 / (1.0 + np.exp(-F))
+
+
+def verdict_csv_oracle(mf, verdicts) -> bytes:
+    """The audit CSV's bytes from `csv.writer`, one `Verdict` at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["index", *(f"p_{i + 1}" for i in range(mf.shape[1]))]
+                    + [f"O_{i + 1}" for i in range(meta.VOTE_ARITY)] + ["v", "decision"])
+    for i, (p, v) in enumerate(zip(mf.tolist(), verdicts)):
+        writer.writerow([i, *map(repr, p), *v.outputs, repr(v.v), v.decision])
+    return buf.getvalue().encode("utf-8")

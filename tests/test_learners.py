@@ -12,12 +12,15 @@ from osnids.learners import (
     CONVNET,
     CONVNET_N_PARAMS,
     LOGISTIC,
+    LOGISTIC_N_PARAMS,
     SCORE_BLOCK,
     BaseEnsemble,
     BinaryScorer,
     TrainingConfig,
     _KIND_FNS,
     _convnet_forward,
+    _pool_backward,
+    _pool_forward,
     _prepare_inputs,
     convnet_scores,
     logistic_scores,
@@ -28,7 +31,14 @@ from osnids.learners import (
 )
 from osnids.samples import make_records
 
-from helpers import LOSS_AND_GRAD_ORACLES, gradient_check, train_scorer_oracle
+from helpers import (
+    LOSS_AND_GRAD_ORACLES,
+    gradient_check,
+    meta_feature_oracle,
+    pool_backward_oracle,
+    pool_forward_oracle,
+    train_scorer_oracle,
+)
 
 
 def _clustered_corpus(rng, n_clusters=3, per_cluster=40, sigma=6.0):
@@ -107,6 +117,49 @@ class TestScore:
         monkeypatch.setattr("osnids.learners._convnet_forward", forward)
         assert convnet_scores(params, X).tobytes() == whole.tobytes()
         assert seen == [SCORE_BLOCK, SCORE_BLOCK, 600 - 2 * SCORE_BLOCK] and SCORE_BLOCK == 256
+
+
+class TestBlockScoring:
+    """`meta_feature_matrix` builds and scores SCORE_BLOCK rows at a time and
+    must equal one whole-batch pass of every scorer, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("kind", [LOGISTIC, CONVNET])
+    def test_equals_one_pass_oracle(self, kind, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        n_params = LOGISTIC_N_PARAMS if kind == LOGISTIC else CONVNET_N_PARAMS
+        ensemble = BaseEnsemble(
+            scorers=[BinaryScorer(kind=kind, params=rng.normal(0, 0.5, n_params)) for _ in range(3)], n_clusters=3
+        )
+        rows = _random_records(rng, n)
+        expected = meta_feature_oracle(ensemble, rows)
+        built = []
+
+        def tensors(samples):
+            built.append(len(samples))
+            return sample_tensors(samples)
+
+        monkeypatch.setattr("osnids.learners.sample_tensors", tensors)
+        got = meta_feature_matrix(ensemble, rows)
+        assert got.shape == (n, 3) and got.tobytes() == expected.tobytes()
+        assert built == [min(SCORE_BLOCK, n - i) for i in range(0, n, SCORE_BLOCK)]
+
+
+class TestMaxPool:
+    @pytest.mark.parametrize("shape", [(4, 16, 21, 16), (3, 17, 20, 2), (1, 2, 2, 1), (0, 16, 21, 16)])
+    def test_forward_and_backward_equal_oracles_with_planted_ties(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for x in (
+            rng.integers(0, 3, shape).astype(np.float64),  # ties in most windows
+            np.zeros(shape),  # every window a four-way tie
+            np.maximum(rng.standard_normal(shape), 0.0),  # post-ReLU: ties at 0
+        ):
+            out, idx = _pool_forward(x)
+            want_out, want_idx = pool_forward_oracle(x)
+            assert out.tobytes() == want_out.tobytes() and out.shape == want_out.shape
+            assert idx.tobytes() == want_idx.tobytes() and idx.dtype == want_idx.dtype
+            dout = rng.standard_normal(out.shape)
+            assert _pool_backward(dout, idx, shape).tobytes() == pool_backward_oracle(dout, idx, shape).tobytes()
 
 
 class TestTrainBaseLearner:

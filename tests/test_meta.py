@@ -11,6 +11,8 @@ from osnids.meta import (
     UNKNOWN_ATTACK,
     MetaConfig,
     MetaEnsemble,
+    Verdict,
+    Verdicts,
     classifier_outputs,
     predict_batch,
     train_meta_classifiers,
@@ -18,6 +20,8 @@ from osnids.meta import (
 )
 from osnids.persistence import write_verdict_csv
 from osnids.samples import make_records
+
+from helpers import verdict_csv_oracle
 
 
 class _StubClassifier:
@@ -223,3 +227,37 @@ class TestVerdictCsv:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert first[-1] in (BENIGN, UNKNOWN_ATTACK)
+
+    @pytest.mark.parametrize("n", [0, 1, 4096, 4097, 9000])
+    def test_equals_csv_writer_rows(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        mf = rng.random((n, 3))
+        special = np.array([5e-324, 1e-17, 0.0, 1.0, 2.5e-8, 1.0 - 1e-16])  # exponents, and the bounds
+        mf.ravel()[: min(mf.size, special.size)] = special[: mf.size]
+        verdicts = Verdicts(rng.integers(0, 2, (n, 4)))
+        path = tmp_path / "verdicts.csv"
+        write_verdict_csv(path, mf, verdicts)
+        assert path.read_bytes() == verdict_csv_oracle(mf, verdicts)
+
+
+class TestVerdicts:
+    def test_indexing_builds_the_vote_verdict(self):
+        bits = np.array(list(itertools.product((0, 1), repeat=4)))
+        verdicts = Verdicts(bits)
+        assert len(verdicts) == 16 and len(list(verdicts)) == 16
+        for i, row in enumerate(bits.tolist()):
+            verdict = verdicts[i]
+            assert verdict == vote(row) and verdict == verdicts[i - 16]
+            assert type(verdict.v) is float and all(type(o) is int for o in verdict.outputs)
+            assert verdicts.attack[i] == (verdict.decision == UNKNOWN_ATTACK)
+        with pytest.raises(IndexError):
+            verdicts[16]
+
+    def test_predict_batch_returns_arrays(self):
+        rng = np.random.default_rng(10)
+        base, meta, benign, attacks = _mini_pipeline(rng)
+        samples = make_records(np.concatenate([benign.features[:7], attacks.features[:7]]), 0)
+        verdicts, mf = predict_batch(base, meta, samples)
+        assert isinstance(verdicts, Verdicts) and isinstance(verdicts[0], Verdict)
+        assert verdicts.bits.tobytes() == classifier_outputs(meta, mf).tobytes()
+        assert verdicts.attack.any() and not verdicts.attack.all()

@@ -7,10 +7,17 @@ from osnids.trees import (
     RandomForest,
     build_boost_tree_leafwise,
     build_tree,
+    distinct_rows,
     predict_tree,
 )
 
-from helpers import gini_best_splits, gini_tree_oracle, split_oracle
+from helpers import (
+    boost_proba_oracle,
+    forest_proba_oracle,
+    gini_best_splits,
+    gini_tree_oracle,
+    split_oracle,
+)
 
 
 def _xor_free_data(rng, n=200):
@@ -277,3 +284,66 @@ class TestPresortedSplitFinder:
         old = GradientBoostedTrees(growth=growth, rounds=15).fit(X, y)
         assert _tree_bytes(new) == _tree_bytes(old)
         assert sum(len(t) for t in new.trees) > len(new.trees)  # the trees did split
+
+
+def _families(X, y):
+    """One fitted model per tree family, each with its per-tree-loop oracle."""
+    return [
+        (RandomForest(n_trees=12, max_depth=5, seed=1).fit(X, y), forest_proba_oracle),
+        (GradientBoostedTrees(growth="depthwise", rounds=12).fit(X, y), boost_proba_oracle),
+        (GradientBoostedTrees(growth="leafwise", rounds=12).fit(X, y), boost_proba_oracle),
+    ]
+
+
+def _split_pairs(model):
+    nodes = [(t.feature[t.feature >= 0], t.threshold[t.feature >= 0]) for t in model.trees]
+    return np.concatenate([f for f, _ in nodes]), np.concatenate([t for _, t in nodes])
+
+
+class TestDistinctRowRouting:
+    """`predict_proba` routes one row per distinct comparison pattern and
+    gathers; it must equal routing every row through every tree, byte for
+    byte, including the forest's `np.mean(axis=0)` and boosting's sequential
+    `F + lr * v`."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 257, 3000])
+    def test_equals_per_tree_loop(self, n):
+        rng = np.random.default_rng(40 + n)
+        X = rng.random((300, 5))
+        y = ((X[:, 0] > 0.5) ^ (X[:, 1] > 0.3) | (rng.random(300) < 0.1)).astype(float)
+        batch = np.concatenate([rng.random((n // 2, 5)), X[rng.integers(0, 300, n - n // 2)]])
+        for model, oracle in _families(X, y):
+            got = model.predict_proba(batch)
+            assert got.shape == (n,) and got.tobytes() == oracle(model, batch).tobytes()
+
+    def test_values_on_thresholds_go_left(self):
+        rng = np.random.default_rng(50)
+        X = _tied_matrix(rng, 200, 4)
+        y = (X[:, 0] + X[:, 2] > 0.9).astype(float)
+        for model, oracle in _families(X, y):
+            feats, thrs = _split_pairs(model)
+            batch = X[rng.integers(0, 200, 3 * len(feats))]
+            for i, (f, t) in enumerate(zip(feats, thrs)):  # each split's threshold, and a hair either side
+                batch[3 * i : 3 * i + 3, f] = (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf))
+            assert len(feats) > 12 and (batch[1::3, feats] == thrs).diagonal().all()
+            assert model.predict_proba(batch).tobytes() == oracle(model, batch).tobytes()
+
+    def test_family_of_single_leaves(self):
+        rng = np.random.default_rng(51)
+        X = rng.random((60, 3))
+        for model, oracle in _families(X, np.zeros(60)):
+            assert all(len(t) == 1 for t in model.trees)  # K = 0: no comparison at all
+            for n in (0, 1, 25):
+                batch = rng.random((n, 3))
+                assert model.predict_proba(batch).tobytes() == oracle(model, batch).tobytes()
+
+    def test_groups_are_the_distinct_comparison_rows(self):
+        rng = np.random.default_rng(52)
+        X = _tied_matrix(rng, 400, 5)
+        y = (X[:, 1] > 0.4).astype(float)
+        for model, _ in _families(X, y):
+            feats, thrs = _split_pairs(model)
+            compared = X[:, feats] <= thrs
+            rows, inverse = distinct_rows(model.trees, X)
+            assert len(rows) == len(np.unique(compared, axis=0)) < len(X)
+            assert ((rows[inverse][:, feats] <= thrs) == compared).all()
