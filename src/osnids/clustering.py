@@ -30,6 +30,8 @@ _EPS = 1e-12
 # the standard exact t-SNE descent schedule
 EXAGGERATION_ITERS = 250
 MOMENTUM_EARLY, MOMENTUM_LATE, MOMENTUM_SWITCH_ITER = 0.5, 0.8, 250
+# bandwidth bisection: stop within this entropy of log(perplexity), or after this many steps
+ENTROPY_TOL, BISECTION_STEPS = 1e-5, 50
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,11 @@ def _squared_distances(X: np.ndarray, out=None, work=None) -> np.ndarray:
     return d2
 
 
-def _conditional_affinities(d2: np.ndarray, perplexity: float, tol: float = 1e-5, max_steps: int = 50) -> np.ndarray:
+def _conditional_affinities(d2: np.ndarray, perplexity: float) -> np.ndarray:
     """Per-point Gaussian affinities with bandwidth matched to the perplexity.
 
     For each point the precision beta is bisected until the entropy of the
-    conditional distribution is within `tol` of log(perplexity).
+    conditional distribution is within ENTROPY_TOL of log(perplexity).
     """
     n = d2.shape[0]
     target = math.log(perplexity)
@@ -75,7 +77,7 @@ def _conditional_affinities(d2: np.ndarray, perplexity: float, tol: float = 1e-5
         ds = d - dmin  # entropy is shift invariant; keeps exp() in range
         beta, beta_min, beta_max = 1.0, -np.inf, np.inf
         p = np.exp(-ds)
-        for _ in range(max_steps):
+        for _ in range(BISECTION_STEPS):
             p = np.exp(-ds * beta)
             z = p.sum()
             if z <= 0.0:
@@ -83,7 +85,7 @@ def _conditional_affinities(d2: np.ndarray, perplexity: float, tol: float = 1e-5
             else:
                 entropy = math.log(z) + beta * float(ds @ p) / z
             diff = entropy - target
-            if abs(diff) <= tol:
+            if abs(diff) <= ENTROPY_TOL:
                 break
             if diff > 0:
                 beta_min = beta
@@ -266,7 +268,7 @@ def silhouette_score(P, assignments, distances: Optional[np.ndarray] = None) -> 
     assignments = np.asarray(assignments, dtype=np.int64)
     if P.shape[0] != assignments.shape[0]:
         raise LengthMismatch("points and assignments differ in length")
-    labels = np.unique(assignments)
+    labels, cols = np.unique(assignments, return_inverse=True)
     if labels.size < 2:
         raise SingleCluster("silhouette requires at least 2 clusters")
 
@@ -275,8 +277,6 @@ def silhouette_score(P, assignments, distances: Optional[np.ndarray] = None) -> 
     n = P.shape[0]
     k = labels.size
     onehot = np.zeros((n, k))
-    label_pos = {int(c): j for j, c in enumerate(labels)}
-    cols = np.array([label_pos[int(a)] for a in assignments])
     onehot[np.arange(n), cols] = 1.0
     counts = onehot.sum(axis=0)
 

@@ -1,16 +1,23 @@
 """JSON run configuration: one file, one section per pipeline stage.
 
-Every tunable default lives in the generated template so a run is fully
-described by its config file; environment variables are never consulted.
+A run is fully described by its config file; environment variables are
+never consulted. Each stage's settings dataclass holds its defaults once:
+the template is generated from them and `settings` builds them back.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
+from .clustering import EmbeddingParams
 from .errors import ConfigError
+from .evaluation import SyntheticConfig
+from .learners import TrainingConfig
+from .meta import MetaConfig
+from .splits import SplitSpec
 
 # Held-out attack classes used when ingesting CIC-style flow metadata.
 # With a synthetic source the generator's unknown classes are held out
@@ -35,19 +42,18 @@ DEFAULT_COLUMN_MAP = {
 }
 
 
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.name != "seed"}
+
+
 def default_config() -> dict:
+    """The template: the settings dataclasses' own defaults, plus the keys
+    that no dataclass holds. The top-level seed replaces each class's seed."""
     return {
         "seed": 7,
         "workdir": "runs/demo",
         "pipeline": {"source": "synth"},
-        "synth": {
-            "n_benign_clusters": 7,
-            "n_known_attack_classes": 9,
-            "n_unknown_attack_classes": 5,
-            "samples_per_class": 200,
-            "noise_sigma": 8.0,
-            "min_hamming_separation": 1200,
-        },
+        "synth": _defaults(SyntheticConfig),
         "ingest": {
             "pcap": "capture.pcap",
             "flows": "flows.csv",
@@ -56,46 +62,20 @@ def default_config() -> dict:
             "column_map": dict(DEFAULT_COLUMN_MAP),
         },
         "split": {
-            "benign_ratios": [0.50, 0.30, 0.20],
+            "benign_ratios": list(SplitSpec.benign_ratios),
             "heldout_classes": list(DEFAULT_HELDOUT_CLASSES),
         },
-        "cluster": {
-            "perplexity": 30.0,
-            "iterations": 1000,
-            "early_exaggeration": 12.0,
-            "learning_rate": 200.0,
-            "k_min": 2,
-            "k_max": 15,
-            "restarts": 10,
-        },
-        "learners": {
-            "kind": "logistic",
-            "epochs": 30,
-            "batch_size": 64,
-            "learning_rate": 0.01,
-            "l2": 1e-4,
-        },
-        "meta": {
-            "holdout_fraction": 0.2,
-            "forest_trees": 100,
-            "forest_depth": 8,
-            "boost_rounds": 100,
-            "boost_learning_rate": 0.1,
-            "boost_depth": 3,
-            "boost_leaves": 15,
-        },
-        "eval": {
-            "run_baseline": True,
-            "baseline_quantile": 0.99,
-        },
+        "cluster": {**_defaults(EmbeddingParams), "k_min": 2, "k_max": 15, "restarts": 10},
+        "learners": {"kind": "logistic", **_defaults(TrainingConfig)},
+        "meta": _defaults(MetaConfig),
+        "eval": {"baseline_quantile": 0.99},
     }
 
 
 def load_config(path) -> dict:
     p = Path(path)
     try:
-        with open(p) as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(p.read_text(encoding="utf-8"))  # not the locale's encoding
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, non-UTF-8 bytes, absurd nesting
@@ -113,3 +93,10 @@ def require(cfg: dict, dotted_key: str) -> Any:
             raise ConfigError(f"missing required config key: {dotted_key}")
         node = node[part]
     return node
+
+
+def settings(cfg: dict, section: str, cls, **given):
+    """`cls` built from config section `section`. Every field not in `given`
+    is required there and cast to the type of its default."""
+    required = [f for f in fields(cls) if f.name not in given]
+    return cls(**{f.name: type(f.default)(require(cfg, f"{section}.{f.name}")) for f in required}, **given)

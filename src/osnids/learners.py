@@ -74,7 +74,6 @@ class TrainingConfig:
 class BinaryScorer:
     kind: str
     params: np.ndarray  # flat float64 vector
-    input_geometry: tuple[int, int, int] = IMAGE_SHAPE
     training_meta: dict = field(default_factory=dict)
 
 
@@ -358,9 +357,6 @@ def meta_feature_matrix(ensemble: BaseEnsemble, samples: np.recarray) -> np.ndar
     scored a block of rows at a time. A single sample is a one-row slice."""
     if not ensemble.scorers:
         raise UntrainedEnsemble("base ensemble has no trained scorers")
-    for scorer in ensemble.scorers:
-        if tuple(scorer.input_geometry) != IMAGE_SHAPE:
-            raise GeometryMismatch(f"scorer expects {scorer.input_geometry}, inputs are {IMAGE_SHAPE}")
     out = np.empty((len(samples), len(ensemble.scorers)))
     for i in range(0, len(samples), SCORE_BLOCK):  # one block's tensors at a time, not the batch's
         tensors = sample_tensors(samples[i : i + SCORE_BLOCK])

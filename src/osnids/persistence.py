@@ -420,6 +420,8 @@ def load_bundle(path) -> tuple[BaseEnsemble, Optional[MetaEnsemble]]:
     version = manifest.get("format_version")
     if version != BUNDLE_FORMAT_VERSION:
         raise VersionUnsupported(f"bundle format version {version} unsupported")
+    if manifest.get("image_geometry") != list(IMAGE_SHAPE):
+        raise ManifestInvalid(f"bundle image geometry {manifest.get('image_geometry')} is not {list(IMAGE_SHAPE)}")
 
     n_clusters = _field(manifest, "n_clusters", int, None)
     scorer_files = _field(manifest, "scorer_files", list, [], str)

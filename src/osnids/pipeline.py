@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import capture, clustering, evaluation, learners, meta, persistence, splits
-from .config import require
+from .config import require, settings
 from .errors import ConfigError, IoFailure, ManifestInvalid, UntrainedModel
 from .samples import BENIGN_CLASS_ID, SampleSet
 
@@ -61,16 +61,7 @@ def _config_digest(cfg: dict) -> str:
 
 def stage_synth(cfg: dict) -> Path:
     wd = workdir_of(cfg)
-    config = evaluation.SyntheticConfig(
-        n_benign_clusters=int(require(cfg, "synth.n_benign_clusters")),
-        n_known_attack_classes=int(require(cfg, "synth.n_known_attack_classes")),
-        n_unknown_attack_classes=int(require(cfg, "synth.n_unknown_attack_classes")),
-        samples_per_class=int(require(cfg, "synth.samples_per_class")),
-        noise_sigma=float(require(cfg, "synth.noise_sigma")),
-        min_hamming_separation=int(require(cfg, "synth.min_hamming_separation")),
-        seed=_seed(cfg),
-    )
-    corpus = evaluation.generate_synthetic(config)
+    corpus = evaluation.generate_synthetic(settings(cfg, "synth", evaluation.SyntheticConfig, seed=_seed(cfg)))
     persistence.save_sample_set(corpus.sample_set, wd / SAMPLES)
     persistence.write_json(wd / HELDOUT, {"heldout_classes": corpus.heldout_classes})
     log.info("synth: %d samples, %d classes", len(corpus.sample_set), len(corpus.sample_set.class_names))
@@ -137,22 +128,11 @@ def stage_split(cfg: dict) -> splits.SplitResult:
 
 def stage_cluster(cfg: dict) -> clustering.ClusteringReport:
     wd = workdir_of(cfg)
+    params = settings(cfg, "cluster", clustering.EmbeddingParams, seed=_seed(cfg))
+    sweep = {key: int(require(cfg, f"cluster.{key}")) for key in ("k_min", "k_max", "restarts")}
     d1 = persistence.load_sample_set(wd / D1)
-    params = clustering.EmbeddingParams(
-        perplexity=float(require(cfg, "cluster.perplexity")),
-        iterations=int(require(cfg, "cluster.iterations")),
-        early_exaggeration=float(require(cfg, "cluster.early_exaggeration")),
-        learning_rate=float(require(cfg, "cluster.learning_rate")),
-        seed=_seed(cfg),
-    )
     embedding = clustering.tsne_embed(d1.samples.features.astype(np.float64) / 255.0, params)
-    report = clustering.select_cluster_count(
-        embedding,
-        k_min=int(require(cfg, "cluster.k_min")),
-        k_max=int(require(cfg, "cluster.k_max")),
-        restarts=int(require(cfg, "cluster.restarts")),
-        seed=_seed(cfg),
-    )
+    report = clustering.select_cluster_count(embedding, **sweep, seed=_seed(cfg))
     annotated = clustering.annotate_clusters(d1.samples, report.assignments)
     persistence.save_sample_set(SampleSet(class_names=d1.class_names, samples=annotated), wd / D1_CLUSTERED)
     per_k = [(k, repr(sse), repr(sil)) for k, sse, sil in report.per_k]
@@ -168,16 +148,10 @@ def stage_cluster(cfg: dict) -> clustering.ClusteringReport:
 
 def stage_train_base(cfg: dict) -> learners.BaseEnsemble:
     wd = workdir_of(cfg)
+    kind = require(cfg, "learners.kind")
+    config = settings(cfg, "learners", learners.TrainingConfig, seed=_seed(cfg))
     d1 = persistence.load_sample_set(wd / D1_CLUSTERED)
     n = len(np.unique(d1.samples.cluster))  # train_base_ensemble refuses ids that are not 0..n-1
-    kind = require(cfg, "learners.kind")
-    config = learners.TrainingConfig(
-        epochs=int(require(cfg, "learners.epochs")),
-        batch_size=int(require(cfg, "learners.batch_size")),
-        learning_rate=float(require(cfg, "learners.learning_rate")),
-        l2=float(require(cfg, "learners.l2")),
-        seed=_seed(cfg),
-    )
     ensemble = learners.train_base_ensemble(d1.samples, n, config=config, kind=kind)
     persistence.save_bundle(ensemble, None, wd / BUNDLE_DIR, config_digest=_config_digest(cfg))
     curves = [
@@ -192,19 +166,11 @@ def stage_train_base(cfg: dict) -> learners.BaseEnsemble:
 
 def stage_train_meta(cfg: dict) -> meta.MetaEnsemble:
     wd = workdir_of(cfg)
+    config = settings(cfg, "meta", meta.MetaConfig)
     base, _ = persistence.load_bundle(wd / BUNDLE_DIR)
     d2 = persistence.load_sample_set(wd / D2)
     features = learners.meta_feature_matrix(base, d2.samples)
     labels = (d2.samples.label != BENIGN_CLASS_ID).astype(np.float64)
-    config = meta.MetaConfig(
-        forest_trees=int(require(cfg, "meta.forest_trees")),
-        forest_depth=int(require(cfg, "meta.forest_depth")),
-        boost_rounds=int(require(cfg, "meta.boost_rounds")),
-        boost_learning_rate=float(require(cfg, "meta.boost_learning_rate")),
-        boost_depth=int(require(cfg, "meta.boost_depth")),
-        boost_leaves=int(require(cfg, "meta.boost_leaves")),
-        holdout_fraction=float(require(cfg, "meta.holdout_fraction")),
-    )
     ensemble = meta.train_meta_classifiers(features, labels, config=config, seed=_seed(cfg))
     persistence.save_bundle(base, ensemble, wd / BUNDLE_DIR, config_digest=_config_digest(cfg))
     log.info("train-meta: holdout accuracy %s", ensemble.holdout_accuracy)
@@ -213,6 +179,7 @@ def stage_train_meta(cfg: dict) -> meta.MetaEnsemble:
 
 def stage_evaluate(cfg: dict) -> evaluation.EvalReport:
     wd = workdir_of(cfg)
+    quantile = float(require(cfg, "eval.baseline_quantile"))
     base, meta_ens = persistence.load_bundle(wd / BUNDLE_DIR)
     if meta_ens is None:
         raise UntrainedModel("bundle has no meta-classifiers; run train-meta first")
@@ -221,14 +188,10 @@ def stage_evaluate(cfg: dict) -> evaluation.EvalReport:
     persistence.write_json(wd / EVAL_REPORT, report.to_dict())
     persistence.write_csv(wd / EVAL_REPORT_CSV, report.to_rows())
     persistence.write_verdict_csv(wd / VERDICTS, mf, verdicts)
-    if bool(require(cfg, "eval.run_baseline")):
-        d1_path = wd / D1_CLUSTERED if (wd / D1_CLUSTERED).exists() else wd / D1
-        d1 = persistence.load_sample_set(d1_path)
-        baseline = evaluation.naive_baseline(
-            d1.samples, d3.samples, d3.class_names,
-            threshold_quantile=float(require(cfg, "eval.baseline_quantile")),
-        )
-        persistence.write_json(wd / BASELINE_REPORT, baseline.to_dict())
+    d1_path = wd / D1_CLUSTERED if (wd / D1_CLUSTERED).exists() else wd / D1
+    d1 = persistence.load_sample_set(d1_path)
+    baseline = evaluation.naive_baseline(d1.samples, d3.samples, d3.class_names, threshold_quantile=quantile)
+    persistence.write_json(wd / BASELINE_REPORT, baseline.to_dict())
     log.info(
         "evaluate: sensitivity=%s specificity=%s",
         report.sensitivity,

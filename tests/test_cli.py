@@ -1,12 +1,16 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from osnids.cli import main
-from osnids.config import default_config
-from osnids.meta import META_FAMILIES
+from osnids.clustering import EmbeddingParams
+from osnids.config import default_config, settings
+from osnids.evaluation import SyntheticConfig
+from osnids.learners import TrainingConfig
+from osnids.meta import META_FAMILIES, MetaConfig
 
 from helpers import HOSTILE_PARAMETER_FILES, rewrite_parameter_file
 
@@ -57,6 +61,73 @@ class TestConfigInit:
         assert cfg["meta"]["boost_rounds"] == 100
         assert len(cfg["split"]["heldout_classes"]) == 5
         assert cfg["synth"]["n_benign_clusters"] == 7
+        assert cfg["eval"] == {"baseline_quantile": 0.99}
+
+
+# the per-field casts the stages made before `config.settings` built each settings class
+_FIELD_CASTS = {
+    "synth": {"n_benign_clusters": int, "n_known_attack_classes": int, "n_unknown_attack_classes": int,
+              "samples_per_class": int, "noise_sigma": float, "min_hamming_separation": int},
+    "cluster": {"perplexity": float, "iterations": int, "early_exaggeration": float, "learning_rate": float},
+    "learners": {"epochs": int, "batch_size": int, "learning_rate": float, "l2": float},
+    "meta": {"forest_trees": int, "forest_depth": int, "boost_rounds": int, "boost_learning_rate": float,
+             "boost_depth": int, "boost_leaves": int, "holdout_fraction": float},
+}
+_SETTINGS = {"synth": SyntheticConfig, "cluster": EmbeddingParams, "learners": TrainingConfig, "meta": MetaConfig}
+_SECTION_STAGE = {"synth": "synth", "cluster": "cluster", "learners": "train-base", "meta": "train-meta"}
+
+
+class TestConfigSections:
+    @pytest.mark.parametrize("section", sorted(_SETTINGS))
+    def test_values_cast_like_per_field_casts(self, section):
+        cls, casts = _SETTINGS[section], _FIELD_CASTS[section]
+        given = {"seed": 3} if section != "meta" else {}
+        assert set(casts) | set(given) == {f.name for f in fields(cls)}
+        section_cfg = {key: 300.0 if cast is int else 8 for key, cast in casts.items()}
+        built = settings({section: section_cfg}, section, cls, **given)
+        expected = cls(**{key: cast(section_cfg[key]) for key, cast in casts.items()}, **given)
+        assert built == expected
+        assert {key: type(getattr(built, key)) for key in casts} == casts
+
+    @pytest.mark.parametrize(
+        "section, key", [(section, key) for section in sorted(_SECTION_STAGE) for key in default_config()[section]]
+    )
+    def test_missing_key_fails_its_stage(self, finished_run, tmp_path, capsys, section, key):
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        cfg = json.loads(json.dumps({**cfg, "workdir": str(wd)}))
+        del cfg[section][key]
+        assert main([_SECTION_STAGE[section], "--config", _write_config(tmp_path, cfg)]) == 1
+        assert f"missing required config key: {section}.{key}" in capsys.readouterr().err
+
+    def test_leftover_run_baseline_is_ignored(self, finished_run, tmp_path):
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        (wd / "baseline_report.json").unlink()
+        cfg = {**cfg, "workdir": str(wd), "eval": {**cfg["eval"], "run_baseline": False}}
+        assert main(["evaluate", "--config", _write_config(tmp_path, cfg)]) == 0
+        assert (wd / "baseline_report.json").read_bytes() == (workdir / "baseline_report.json").read_bytes()
+
+    def test_utf8_config_loads_under_c_locale(self, finished_run, tmp_path):
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        cfg = {**cfg, "workdir": str(wd)}
+        assert "Web Attack\u2013Sql Injection" in cfg["split"]["heldout_classes"]
+        path = tmp_path / "run.json"
+        path.write_bytes(json.dumps(cfg, ensure_ascii=False).encode("utf-8"))
+        assert b"\xe2\x80\x93" in path.read_bytes()
+        proc = _run_cli_child(["split", "--config", str(path)], PYTHONUTF8="0", LC_ALL="C")
+        assert proc.returncode == 0, proc.stderr
+        assert (wd / "d3.sset").read_bytes() == (workdir / "d3.sset").read_bytes()
 
 
 class TestRun:
@@ -259,8 +330,9 @@ class TestIngestSource:
         assert cluster["selected_n"] == 2
 
 
-def _run_cli_child(argv):
-    """`osnids <argv>` in a child process with a 60 s timeout."""
+def _run_cli_child(argv, **env):
+    """`osnids <argv>` in a child process with a 60 s timeout; `env` adds
+    environment variables."""
     import subprocess
     import sys
     from pathlib import Path
@@ -270,7 +342,7 @@ def _run_cli_child(argv):
     src = str(Path(osnids.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-c", "import sys; from osnids.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        env={**os.environ, **env, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
     )
 
 
@@ -284,6 +356,7 @@ _HOSTILE_FLOW_ROWS = {
 _HOSTILE_MANIFEST_EDITS = {
     "scorer_meta_not_a_list": lambda m: ("scorer_meta", 5),
     "scorer_kinds_convnet_for_logistic": lambda m: ("scorer_kinds", ["convnet"] * m["n_clusters"]),
+    "image_geometry_transposed": lambda m: ("image_geometry", [25, 20, 3]),
 }
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from osnids.errors import (
     DegenerateClasses,
-    GeometryMismatch,
     MissingCluster,
     UntrainedEnsemble,
 )
@@ -90,11 +89,6 @@ class TestScore:
         scorer = BinaryScorer(kind=LOGISTIC, params=rng.normal(0, 0.1, 1501))
         rows = _random_records(rng, 1)
         assert meta_feature_matrix(_pair(scorer), rows).tobytes() == meta_feature_matrix(_pair(scorer), rows).tobytes()
-
-    def test_geometry_mismatch(self):
-        scorer = BinaryScorer(kind=LOGISTIC, params=np.zeros(1501), input_geometry=(25, 20, 3))
-        with pytest.raises(GeometryMismatch):
-            meta_feature_matrix(_pair(scorer), _random_records(np.random.default_rng(3), 1))
 
     def test_scores_in_unit_interval_fuzz(self):
         rng = np.random.default_rng(2)

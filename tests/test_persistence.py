@@ -375,6 +375,20 @@ class TestHostileBundles:
         finally:
             _restore(root, originals)
 
+    def test_geometry_mismatch(self, saved_bundle):
+        root, originals = saved_bundle
+        data = json.loads(originals["manifest.json"])
+        assert data["image_geometry"] == [20, 25, 3]
+        absent = {k: v for k, v in data.items() if k != "image_geometry"}
+        edits = [{**data, "image_geometry": g} for g in ([25, 20, 3], [20, 25], [20, 25, 3, 1], "20x25x3", None)]
+        for manifest in [*edits, absent]:
+            (root / "manifest.json").write_text(json.dumps(manifest))
+            try:
+                with pytest.raises(ManifestInvalid):
+                    load_bundle(root)
+            finally:
+                _restore(root, originals)
+
     def test_manifest_without_scorer_kinds_loads(self, saved_bundle):
         root, originals = saved_bundle
         data = json.loads(originals["manifest.json"])
