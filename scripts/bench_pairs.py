@@ -5,11 +5,14 @@ Usage, from the repository root:
     python3 scripts/bench_pairs.py --name serving --parent HEAD~1 \\
         --workload predict-stream --workload ingest-hard --pairs 10
 
-The parent revision is exported with `git archive` into a temporary
-directory: an exported tree needs no cleanup in `.git` when a run is killed,
-and the benchmark needs only the files. Each pair runs `perfbench/run.py
---trace 0` once on each side, one side after the other, alternating which
-side goes first. `BENCH_<name>.json` at the repository root then holds every
+Both sides run from fresh copies in a temporary directory: the parent
+revision is exported with `git archive`, and the working tree's files
+(tracked ones with their uncommitted edits, and untracked ones that are not
+ignored) are copied. So neither side runs in a directory the other lacks,
+such as one holding build caches, and an exported tree needs no cleanup in
+`.git` when a run is killed. Each pair runs `perfbench/run.py --trace 0`
+once on each side, one side after the other, alternating which side goes
+first. `BENCH_<name>.json` at the repository root then holds every
 run's final JSON line, each side's median and quartiles per end-to-end
 metric, the number of pairs the change won per metric, and the host: core
 count and the Python, numpy and OpenBLAS versions.
@@ -21,6 +24,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -40,12 +44,25 @@ def _git(*args: str) -> bytes:
 def export_revision(rev: str, into: Path) -> str:
     """Write `rev`'s tree under `into`; returns its full commit id."""
     commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    into.mkdir(parents=True, exist_ok=True)
     archive = into / "tree.tar"
     archive.write_bytes(_git("archive", "--format=tar", commit))
     with tarfile.open(archive) as tar:
         tar.extractall(into / "tree", filter="data")
     archive.unlink()
     return commit
+
+
+def export_worktree(into: Path) -> str:
+    """Copy the working tree's files under `into`; returns HEAD's commit id,
+    with "+dirty" when the copy differs from it."""
+    names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode().split("\0")
+    for name in filter(None, names):
+        if (ROOT / name).is_file():  # a tracked file deleted from the tree is left out
+            (into / "tree" / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / "tree" / name)
+    dirty = _git("status", "--porcelain").strip()
+    return _git("rev-parse", "HEAD").decode().strip() + ("+dirty" if dirty else "")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -101,7 +118,7 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--tmp", default=None, help="directory for the exported parent tree")
+    parser.add_argument("--tmp", default=None, help="directory for the two exported trees")
     args = parser.parse_args()
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -114,11 +131,9 @@ def main() -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(dir=args.tmp) as tmp:
-        record["parent"] = export_revision(args.parent, Path(tmp))
-        record["change"] = _git("rev-parse", "HEAD").decode().strip() + (
-            "+dirty" if _git("status", "--porcelain", "--untracked-files=no").strip() else ""
-        )
-        sides = {"parent": Path(tmp) / "tree", "change": ROOT}
+        record["parent"] = export_revision(args.parent, Path(tmp) / "parent")
+        record["change"] = export_worktree(Path(tmp) / "change")
+        sides = {side: Path(tmp) / side / "tree" for side in ("parent", "change")}
         for workload in args.workload:
             runs = []
             for pair in range(args.pairs):

@@ -32,6 +32,7 @@ EXAGGERATION_ITERS = 250
 MOMENTUM_EARLY, MOMENTUM_LATE, MOMENTUM_SWITCH_ITER = 0.5, 0.8, 250
 # bandwidth bisection: stop within this entropy of log(perplexity), or after this many steps
 ENTROPY_TOL, BISECTION_STEPS = 1e-5, 50
+FLOAT32_MIN_ROWS = 128  # a smaller map keeps float64: it costs under 0.1 s more per 1000 iterations
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,8 @@ def _conditional_affinities(d2: np.ndarray, perplexity: float) -> np.ndarray:
 
 def _kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
     mask = P > 0
-    return float(np.sum(P[mask] * np.log(P[mask] / np.maximum(Q[mask], _EPS))))
+    p = P[mask].astype(np.float64)  # a float64 sum for either descent
+    return float(np.sum(p * np.log(p / np.maximum(Q[mask].astype(np.float64), _EPS))))
 
 
 def _student_t(Y: np.ndarray, num: np.ndarray, Q: np.ndarray) -> None:
@@ -119,9 +121,9 @@ def _student_t(Y: np.ndarray, num: np.ndarray, Q: np.ndarray) -> None:
 def tsne_embed(X, params: EmbeddingParams, return_trace: bool = False):
     """Embed an (n, d) matrix into 2-D with exact t-SNE.
 
-    Deterministic for a fixed seed. When `return_trace` is set, also
-    returns the KL divergence sampled every 50 iterations after the
-    early-exaggeration phase ends.
+    Affinities are float64, the descent float32 from FLOAT32_MIN_ROWS rows.
+    Deterministic for a fixed seed. `return_trace` adds the KL divergence
+    every 50 iterations after the early-exaggeration phase.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 4:
@@ -133,15 +135,14 @@ def tsne_embed(X, params: EmbeddingParams, return_trace: bool = False):
         raise PerplexityTooLarge(f"perplexity {params.perplexity} must be < number of points {n}")
 
     cond = _conditional_affinities(_squared_distances(X), params.perplexity)
-    P = (cond + cond.T) / (2.0 * n)
+    dtype = np.float32 if n >= FLOAT32_MIN_ROWS else np.float64
+    P = ((cond + cond.T) / (2.0 * n)).astype(dtype)
 
-    rng = np.random.default_rng(params.seed)
-    Y = rng.standard_normal((n, 2)) * 1e-4
-    velocity = np.zeros_like(Y)
-    gains = np.ones_like(Y)
+    Y = (np.random.default_rng(params.seed).standard_normal((n, 2)) * 1e-4).astype(dtype)
+    velocity, gains = np.zeros_like(Y), np.ones_like(Y)
 
     P_exaggerated = P * params.early_exaggeration
-    num, work = np.empty((n, n)), np.empty((n, n))  # the loop allocates no n x n array
+    num, work = np.empty_like(P), np.empty_like(P)  # the loop allocates no n x n array
     kl_trace: list[float] = []
     for it in range(params.iterations):
         exaggerating = it < EXAGGERATION_ITERS
@@ -167,9 +168,8 @@ def tsne_embed(X, params: EmbeddingParams, return_trace: bool = False):
 
     if not np.all(np.isfinite(Y)):
         raise NonFiniteInput("t-SNE diverged to non-finite coordinates")
-    if return_trace:
-        return Y, kl_trace
-    return Y
+    Y = Y.astype(np.float64)
+    return (Y, kl_trace) if return_trace else Y
 
 
 @dataclass
@@ -202,7 +202,8 @@ def _lloyd(P: np.ndarray, centroids: np.ndarray, max_iter: int = 300) -> KMeansR
     assignments = np.full(P.shape[0], -1, dtype=np.int64)
     trace: list[float] = []
     for _ in range(max_iter):
-        d2 = np.sum((P[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        # per coordinate, summed left to right: bit-equal to np.sum over the (n, k, dim) cube
+        d2 = sum((P[:, j, None] - centroids[:, j]) ** 2 for j in range(P.shape[1]))
         new_assign = np.argmin(d2, axis=1)
         dist_to_own = d2[np.arange(P.shape[0]), new_assign]
 
@@ -247,16 +248,9 @@ def kmeans(
     if restarts < 1:
         raise InvalidRange(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(seed)
-    best: Optional[KMeansResult] = None
-    for _ in range(restarts):
-        result = _lloyd(P, _kmeans_pp_init(P, k, rng))
-        if best is None or result.sse < best.sse:
-            best = result
-    for init in extra_inits or ():
-        result = _lloyd(P, np.asarray(init, dtype=np.float64))
-        if result.sse < best.sse:
-            best = result
-    return best
+    inits = [_kmeans_pp_init(P, k, rng) for _ in range(restarts)]
+    inits += [np.asarray(init, dtype=np.float64) for init in extra_inits or ()]
+    return min((_lloyd(P, init) for init in inits), key=lambda result: result.sse)  # the first best wins ties
 
 
 def silhouette_score(P, assignments, distances: Optional[np.ndarray] = None) -> float:
@@ -275,21 +269,19 @@ def silhouette_score(P, assignments, distances: Optional[np.ndarray] = None) -> 
     if distances is None:
         distances = np.sqrt(_squared_distances(P))
     n = P.shape[0]
-    k = labels.size
-    onehot = np.zeros((n, k))
+    onehot = np.zeros((n, labels.size))
     onehot[np.arange(n), cols] = 1.0
     counts = onehot.sum(axis=0)
 
     sums = distances @ onehot  # sums[i, j] = total distance from i to cluster j
-    own = cols
-    own_counts = counts[own]
+    own_counts = counts[cols]
     s = np.zeros(n)
     multi = own_counts > 1
     a = np.zeros(n)
-    a[multi] = sums[np.arange(n), own][multi] / (own_counts[multi] - 1)
+    a[multi] = sums[np.arange(n), cols][multi] / (own_counts[multi] - 1)
 
     means = sums / counts[None, :]
-    means[np.arange(n), own] = np.inf
+    means[np.arange(n), cols] = np.inf
     b = means.min(axis=1)
 
     denom = np.maximum(a, b)
@@ -316,7 +308,8 @@ def select_cluster_count(
     restarts: int = 10,
     seed: int = 0,
 ) -> ClusteringReport:
-    """Run k-means over [k_min, k_max] and pick argmax silhouette.
+    """Run k-means over [k_min, k_max] and pick argmax silhouette; the
+    chosen clusters are numbered in order of first appearance in `P`.
 
     Each k also gets a warm start built from the previous k's solution
     (its centroids plus the worst-fit point), which keeps the reported
@@ -345,12 +338,15 @@ def select_cluster_count(
         prev = result
 
     _, selected_n, chosen = best_row
-    return ClusteringReport(
-        per_k=per_k,
-        selected_n=selected_n,
-        centroids=chosen.centroids,
-        assignments=chosen.assignments,
-    )
+    assignments, centroids = _number_by_first_appearance(chosen.assignments, chosen.centroids)
+    return ClusteringReport(per_k=per_k, selected_n=selected_n, centroids=centroids, assignments=assignments)
+
+
+def _number_by_first_appearance(assignments: np.ndarray, centroids: np.ndarray):
+    """Ids 0..k-1 in order of each cluster's first row (label 0 owns row 0),
+    so no later stage sees which ids k-means happened to use."""
+    order = np.argsort(np.unique(assignments, return_index=True)[1])  # old ids, by first row
+    return np.argsort(order)[assignments], centroids[order]
 
 
 def annotate_clusters(samples: np.recarray, assignments) -> np.recarray:

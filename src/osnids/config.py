@@ -95,8 +95,20 @@ def require(cfg: dict, dotted_key: str) -> Any:
     return node
 
 
+def _setting(cfg: dict, key: str, kind: type):
+    """Required `key` as `kind`. A bool, or a value the cast would change
+    (2.9 or "5" for an int, NaN), is refused; 300.0 for an int loads."""
+    value = require(cfg, key)
+    try:
+        if not isinstance(value, bool) and kind(value) == value:
+            return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"config key {key}: expected {kind.__name__}, got {value!r}")
+
+
 def settings(cfg: dict, section: str, cls, **given):
     """`cls` built from config section `section`. Every field not in `given`
     is required there and cast to the type of its default."""
     required = [f for f in fields(cls) if f.name not in given]
-    return cls(**{f.name: type(f.default)(require(cfg, f"{section}.{f.name}")) for f in required}, **given)
+    return cls(**{f.name: _setting(cfg, f"{section}.{f.name}", type(f.default)) for f in required}, **given)

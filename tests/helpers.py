@@ -191,10 +191,13 @@ def split_oracle(X, g, h, reg_lambda, feature_ids):
     return best
 
 
-def tsne_oracle(X, params):
+def tsne_oracle(X, params, dtype=np.float64):
     """Exact t-SNE with the optimisation loop as first written: fresh n x n
-    temporaries every iteration and the KL trace always computed. Only the
-    perplexity bisection comes from `clustering`. Returns (Y, kl_trace)."""
+    temporaries every iteration and the KL trace always computed. The
+    affinities are float64; the joint P and the descent are in `dtype`
+    (float64 is the loop as first written) and KL sums in float64. Only the
+    perplexity bisection comes from `clustering`. Returns (Y, kl_trace), Y
+    in `dtype`."""
 
     def sqdist(Z):
         sq = np.sum(Z * Z, axis=1)
@@ -205,14 +208,15 @@ def tsne_oracle(X, params):
 
     def kl(P, Q):
         mask = P > 0
-        return float(np.sum(P[mask] * np.log(P[mask] / np.maximum(Q[mask], 1e-12))))
+        p, q = P[mask].astype(np.float64), Q[mask].astype(np.float64)
+        return float(np.sum(p * np.log(p / np.maximum(q, 1e-12))))
 
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     cond = clustering._conditional_affinities(sqdist(X), params.perplexity)
-    P = (cond + cond.T) / (2.0 * n)
+    P = ((cond + cond.T) / (2.0 * n)).astype(dtype)
     rng = np.random.default_rng(params.seed)
-    Y = rng.standard_normal((n, 2)) * 1e-4
+    Y = (rng.standard_normal((n, 2)) * 1e-4).astype(dtype)
     velocity = np.zeros_like(Y)
     gains = np.ones_like(Y)
     kl_trace = []
@@ -387,6 +391,38 @@ def kmeans_partition_oracle(P: np.ndarray, k: int) -> float:
             sse += float(((members - centroid) ** 2).sum())
         best = min(best, sse)
     return best
+
+
+def lloyd_oracle(P: np.ndarray, centroids: np.ndarray, max_iter: int = 300):
+    """Lloyd's algorithm as first written, distances from the full (n, k, dim)
+    difference cube, with the same empty-cluster repair. Returns
+    (assignments, centroids, sse_trace)."""
+    k = centroids.shape[0]
+    centroids = centroids.copy()
+    assignments = np.full(P.shape[0], -1, dtype=np.int64)
+    trace = []
+    for _ in range(max_iter):
+        d2 = np.sum((P[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_assign = np.argmin(d2, axis=1)
+        dist_to_own = d2[np.arange(P.shape[0]), new_assign]
+        counts = np.bincount(new_assign, minlength=k)
+        while np.any(counts == 0):
+            empty = int(np.argmin(counts))
+            movable = counts[new_assign] > 1
+            donor = int(np.argmax(np.where(movable, dist_to_own, -np.inf)))
+            counts[new_assign[donor]] -= 1
+            new_assign[donor] = empty
+            counts[empty] += 1
+            centroids[empty] = P[donor]
+            dist_to_own[donor] = 0.0
+        converged = np.array_equal(new_assign, assignments)
+        assignments = new_assign
+        for j in range(k):
+            centroids[j] = P[assignments == j].mean(axis=0)
+        trace.append(float(np.sum((P - centroids[assignments]) ** 2)))
+        if converged:
+            break
+    return assignments, centroids, trace
 
 
 def silhouette_oracle(P: np.ndarray, assignments) -> float:

@@ -8,6 +8,7 @@ import pytest
 from osnids.cli import main
 from osnids.clustering import EmbeddingParams
 from osnids.config import default_config, settings
+from osnids.errors import ConfigError
 from osnids.evaluation import SyntheticConfig
 from osnids.learners import TrainingConfig
 from osnids.meta import META_FAMILIES, MetaConfig
@@ -102,6 +103,33 @@ class TestConfigSections:
         del cfg[section][key]
         assert main([_SECTION_STAGE[section], "--config", _write_config(tmp_path, cfg)]) == 1
         assert f"missing required config key: {section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("learners", "epochs", 2.9),  # int() would truncate it to 2
+            ("learners", "batch_size", True),  # int() would read it as 1
+            ("meta", "forest_trees", "100"),
+            ("cluster", "learning_rate", False),  # a bool for a float field
+            ("cluster", "perplexity", float("nan")),
+            ("synth", "samples_per_class", float("inf")),
+            ("meta", "holdout_fraction", None),
+            ("cluster", "iterations", [1000]),
+        ],
+    )
+    def test_value_the_cast_would_change_is_refused(self, section, key, value):
+        cls = _SETTINGS[section]
+        section_cfg = {**default_config()[section], key: value}
+        given = {"seed": 3} if section != "meta" else {}
+        with pytest.raises(ConfigError, match=rf"config key {section}\.{key}: expected (int|float), got "):
+            settings({section: section_cfg}, section, cls, **given)
+
+    @pytest.mark.parametrize("key, value", [("epochs", 2.9), ("batch_size", True)])
+    def test_changed_value_fails_its_stage(self, finished_run, tmp_path, capsys, key, value):
+        cfg = json.loads(json.dumps({**finished_run[2], "workdir": str(tmp_path / "wd")}))
+        cfg["learners"][key] = value
+        assert main(["train-base", "--config", _write_config(tmp_path, cfg)]) == 1
+        assert f"config key learners.{key}: expected int, got {value!r}" in capsys.readouterr().err
 
     def test_leftover_run_baseline_is_ignored(self, finished_run, tmp_path):
         import shutil

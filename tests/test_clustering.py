@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from osnids import clustering
 from osnids.clustering import (
     EmbeddingParams,
     annotate_clusters,
@@ -20,7 +21,7 @@ from osnids.errors import (
 )
 from osnids.samples import make_records
 
-from helpers import kmeans_partition_oracle, silhouette_oracle, tsne_oracle
+from helpers import kmeans_partition_oracle, lloyd_oracle, silhouette_oracle, tsne_oracle
 
 
 def _blobs(rng, centers, n_per, sigma=0.5):
@@ -77,6 +78,27 @@ class TestKMeans:
         b = kmeans(P, 3, restarts=10, seed=5)
         assert np.array_equal(a.assignments, b.assignments)
         assert np.array_equal(a.centroids, b.centroids)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lloyd_equals_difference_cube_oracle(self, seed):
+        """The per-coordinate distance sum is the (n, k, dim) cube's, bit for
+        bit, on a t-SNE-scaled 2-D layout at every k of the default sweep,
+        on 3-D points, and on a 0.1-spaced grid whose many exact ties in
+        distance go to whichever form rounds lower."""
+        rng = np.random.default_rng(seed)
+        P2 = np.vstack([c + rng.normal(0, 2.0, (40, 2)) for c in rng.uniform(-40, 40, (7, 2))])
+        grid = np.array([(x, y) for x in np.arange(12) * 0.1 for y in np.arange(12) * 0.1])
+        for P, ks in ((P2, range(2, 16)), (rng.normal(0, 1, (60, 3)), (2, 5)), (grid, range(2, 9))):
+            for k in ks:
+                if P is grid:  # evenly spaced grid points as the initial centroids
+                    init = grid[np.linspace(0, len(grid) - 1, k).astype(int)]
+                else:
+                    init = clustering._kmeans_pp_init(P, k, np.random.default_rng([seed, k]))
+                result = clustering._lloyd(P, init)
+                assignments, centroids, trace = lloyd_oracle(P, init)
+                assert result.assignments.tobytes() == assignments.tobytes()
+                assert result.centroids.tobytes() == centroids.tobytes()
+                assert np.array(result.sse_trace).tobytes() == np.array(trace).tobytes()
 
 
 class TestSilhouette:
@@ -141,6 +163,16 @@ class TestSelectClusterCount:
         curve = report.sse_curve()
         assert all(curve[i + 1] <= curve[i] + 1e-9 for i in range(len(curve) - 1))
 
+    def test_clusters_numbered_by_first_appearance(self):
+        rng = np.random.default_rng(4)
+        P = _blobs(rng, [[0, 0], [20, 0], [0, 20], [20, 20], [40, 0]], 30)[rng.permutation(150)]
+        report = select_cluster_count(P, 2, 8, restarts=10, seed=4)
+        labels, first = np.unique(report.assignments, return_index=True)
+        assert report.selected_n == 5 and report.assignments[0] == 0
+        assert labels.tolist() == list(range(5)) and np.all(np.diff(first) > 0)
+        for j in range(5):  # each centroid moved with its cluster
+            assert report.centroids[j].tobytes() == P[report.assignments == j].mean(axis=0).tobytes()
+
     def test_invalid_range(self):
         P = np.random.default_rng(3).uniform(0, 1, (20, 2))
         with pytest.raises(InvalidRange):
@@ -155,6 +187,35 @@ def _records(rng, n, label=0):
     feats = rng.integers(0, 256, (n, 1500)).astype(np.uint8)
     feats[:, 0] = np.maximum(feats[:, 0], 1)
     return make_records(feats, label)
+
+
+class TestFirstAppearanceNumbering:
+    """Cluster ids depend on the partition alone, never on which ids
+    k-means happened to give it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_any_relabelling_numbers_the_same(self, seed):
+        rng = np.random.default_rng(seed)
+        assignments = rng.permutation(np.arange(60) % 6)
+        centroids = rng.normal(0, 5, (6, 2))
+        expected = clustering._number_by_first_appearance(assignments, centroids)
+        assert expected[0][0] == 0
+        _, first = np.unique(expected[0], return_index=True)
+        assert np.all(np.diff(first) > 0)
+        for _ in range(5):
+            perm = rng.permutation(6)  # old id j becomes perm[j]
+            moved = np.empty_like(centroids)
+            moved[perm] = centroids
+            got = clustering._number_by_first_appearance(perm[assignments], moved)
+            assert got[0].tobytes() == expected[0].tobytes()
+            assert got[1].tobytes() == expected[1].tobytes()
+
+    def test_partition_and_centroids_kept(self):
+        assignments = np.array([2, 2, 0, 1, 0, 1, 2])
+        centroids = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        got, moved = clustering._number_by_first_appearance(assignments, centroids)
+        assert got.tolist() == [0, 0, 1, 2, 1, 2, 0]
+        assert moved.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
 
 
 class TestAnnotateClusters:
@@ -236,18 +297,50 @@ class TestTsne:
 
 
 class TestTsneAgainstOracle:
-    """The in-place loop must reproduce the allocating one bit for bit. At
-    300 iterations the run crosses the exaggeration and momentum switch at
-    250 and samples one KL value. Both loops make the same BLAS calls under
-    the same thread count, so they agree on any host."""
+    """The in-place float32 loop must reproduce the allocating float32 one
+    bit for bit. At 300 iterations the run crosses the exaggeration and
+    momentum switch at 250 and samples one KL value. Both loops make the
+    same BLAS calls under the same thread count, so they agree on any host."""
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_embedding_and_trace_equal_oracle(self, seed):
         rng = np.random.default_rng(seed)
         X = np.vstack([c + rng.normal(0, 0.3, (40, 6)) for c in rng.normal(0, 3, (4, 6))])
+        assert X.shape[0] >= clustering.FLOAT32_MIN_ROWS  # the float32 descent
         params = EmbeddingParams(perplexity=15.0, iterations=300, seed=seed)
         Y, trace = tsne_embed(X, params, return_trace=True)
-        Y_oracle, trace_oracle = tsne_oracle(X, params)
-        assert Y.tobytes() == Y_oracle.tobytes()
+        Y_oracle, trace_oracle = tsne_oracle(X, params, dtype=np.float32)
+        assert Y.dtype == np.float64 and Y_oracle.dtype == np.float32
+        assert Y.tobytes() == Y_oracle.astype(np.float64).tobytes()
         assert np.array(trace).tobytes() == np.array(trace_oracle).tobytes() and len(trace) == 1
         assert tsne_embed(X, params).tobytes() == Y.tobytes()
+
+    def test_small_map_keeps_float64_loop(self):
+        """Below FLOAT32_MIN_ROWS the descent is the float64 loop as first
+        written, bit for bit."""
+        rng = np.random.default_rng(3)
+        n = clustering.FLOAT32_MIN_ROWS - 1
+        X = np.vstack([rng.normal(0, 0.3, (n // 2, 6)), rng.normal(3, 0.3, (n - n // 2, 6))])
+        params = EmbeddingParams(perplexity=15.0, iterations=300, seed=3)
+        Y, trace = tsne_embed(X, params, return_trace=True)
+        Y_oracle, trace_oracle = tsne_oracle(X, params, dtype=np.float64)
+        assert Y.tobytes() == Y_oracle.tobytes()
+        assert np.array(trace).tobytes() == np.array(trace_oracle).tobytes()
+
+
+class TestFloat32Partition:
+    """Gate for the float32 descent: the clusters it leads to are the ones
+    the float64 loop as first written leads to. The embeddings differ by
+    several units (t-SNE amplifies the last bits), so only the canonical
+    assignments can be compared."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_clusters_as_float64_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        X = np.vstack([c + rng.normal(0, 0.3, (30, 10)) for c in 2.0 * np.eye(7, 10)])
+        params = EmbeddingParams(seed=seed)
+        ours = select_cluster_count(tsne_embed(X, params), seed=seed)
+        oracle = select_cluster_count(tsne_oracle(X, params, dtype=np.float64)[0], seed=seed)
+        assert ours.selected_n == oracle.selected_n == 7
+        assert ours.assignments.tobytes() == oracle.assignments.tobytes()
+        assert ours.assignments.tolist() == np.repeat(np.arange(7), 30).tolist()
