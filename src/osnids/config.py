@@ -95,10 +95,7 @@ def require(cfg: dict, dotted_key: str) -> Any:
     return node
 
 
-def _setting(cfg: dict, key: str, kind: type):
-    """Required `key` as `kind`. A bool, or a value the cast would change
-    (2.9 or "5" for an int, NaN), is refused; 300.0 for an int loads."""
-    value = require(cfg, key)
+def _cast(key: str, value, kind: type):
     try:
         if not isinstance(value, bool) and kind(value) == value:
             return kind(value)
@@ -107,8 +104,24 @@ def _setting(cfg: dict, key: str, kind: type):
     raise ConfigError(f"config key {key}: expected {kind.__name__}, got {value!r}")
 
 
+def setting(cfg: dict, key: str, kind: type):
+    """Required `key` as `kind`. A bool, or a value the cast would change
+    (2.9 or "5" for an int, NaN, 5 for a str), is refused; 300.0 for an int loads."""
+    return _cast(key, require(cfg, key), kind)
+
+
+def setting_list(cfg: dict, key: str, kind: type, length=None) -> list:
+    """Required `key`: a list (of `length` items, when given) whose every
+    item `setting` would accept as a `kind`."""
+    value = require(cfg, key)
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        size = f"{length} " if length else ""
+        raise ConfigError(f"config key {key}: expected a list of {size}{kind.__name__}, got {value!r}")
+    return [_cast(key, item, kind) for item in value]
+
+
 def settings(cfg: dict, section: str, cls, **given):
     """`cls` built from config section `section`. Every field not in `given`
     is required there and cast to the type of its default."""
     required = [f for f in fields(cls) if f.name not in given]
-    return cls(**{f.name: _setting(cfg, f"{section}.{f.name}", type(f.default)) for f in required}, **given)
+    return cls(**{f.name: setting(cfg, f"{section}.{f.name}", type(f.default)) for f in required}, **given)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import LengthMismatch, SingleClassLabels, UntrainedModel, WrongArity
+from .errors import InvalidRange, LengthMismatch, SingleClassLabels, UntrainedModel, WrongArity
 from .learners import BaseEnsemble, meta_feature_matrix
 from .trees import GradientBoostedTrees, RandomForest
 
@@ -36,6 +36,10 @@ class MetaConfig:
     boost_depth: int = 3
     boost_leaves: int = 15
     holdout_fraction: float = 0.2
+
+    def __post_init__(self):
+        if self.forest_trees < 1:
+            raise InvalidRange(f"forest_trees must be >= 1, got {self.forest_trees}")
 
 
 class LogisticMetaClassifier:

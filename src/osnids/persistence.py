@@ -36,7 +36,7 @@ from .features import IMAGE_SHAPE
 from .learners import BaseEnsemble, BinaryScorer, CONVNET, CONVNET_N_PARAMS, LOGISTIC, LOGISTIC_N_PARAMS
 from .meta import BENIGN, META_FAMILIES, UNKNOWN_ATTACK, VOTE_ARITY, LogisticMetaClassifier, MetaEnsemble, Verdicts
 from .samples import RECORD_DTYPE, SampleSet
-from .trees import GradientBoostedTrees, RandomForest, TreeNodes
+from .trees import GradientBoostedTrees, RandomForest, TreeNodes, node_table
 
 SAMPLESET_MAGIC = b"OSNIDS1"
 SAMPLESET_VERSION = 1
@@ -284,21 +284,17 @@ def _decode_tree(payload: bytes, pos: int) -> tuple[TreeNodes, int]:
 
 def _check_trees(trees: list[TreeNodes], n_features: int) -> None:
     """Every node is a leaf (feature -1) or splits on a feature in
-    [0, n_features) with both children after it in its tree, so every
+    [0, n_features) with both children after it in its own tree, so every
     route ends at a leaf, and every threshold and value is finite. One
-    vectorized pass over all the trees."""
-    sizes = [len(t) for t in trees]
-    n = np.repeat(sizes, sizes)
-    i = np.arange(n.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    feature, left, right, threshold, value = (
-        np.concatenate([getattr(t, name) for t in trees])
-        for name in ("feature", "left", "right", "threshold", "value")
-    )
-    split_ok = (feature >= 0) & (feature < n_features) & (left > i) & (left < n) & (right > i) & (right < n)
-    if not ((feature == -1) | split_ok).all():
+    vectorized pass over the family's node table."""
+    table, bounds = node_table(trees)
+    i, end = np.arange(len(table)), np.repeat(bounds[1:], np.diff(bounds))  # end: one past i's tree
+    f, left, right = table.feature, table.left, table.right
+    split_ok = (f >= 0) & (f < n_features) & (left > i) & (left < end) & (right > i) & (right < end)
+    if not ((f == -1) | split_ok).all():
         raise ManifestInvalid("tree node arrays do not form trees")
-    _finite(threshold)
-    _finite(value)
+    _finite(table.threshold)
+    _finite(table.value)
 
 
 def _encode_meta_classifier(family: str, clf) -> bytes:
@@ -335,8 +331,7 @@ def _decode_meta_classifier(family: str, payload: bytes, n_features: int):
     for _ in range(n_trees):
         tree, pos = _decode_tree(payload, pos)
         clf.trees.append(tree)
-    if clf.trees:
-        _check_trees(clf.trees, n_features)
+    _check_trees(clf.trees, n_features)
     return _done(payload, pos, clf)
 
 

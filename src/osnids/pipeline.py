@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import capture, clustering, evaluation, learners, meta, persistence, splits
-from .config import require, settings
+from .config import require, setting, setting_list, settings
 from .errors import ConfigError, IoFailure, ManifestInvalid, UntrainedModel
 from .samples import BENIGN_CLASS_ID, SampleSet
 
@@ -44,7 +44,7 @@ def workdir_of(cfg: dict) -> Path:
 
 
 def _seed(cfg: dict) -> int:
-    return int(require(cfg, "seed"))
+    return setting(cfg, "seed", int)
 
 
 def _config_digest(cfg: dict) -> str:
@@ -74,7 +74,7 @@ def stage_ingest(cfg: dict) -> Path:
     flows_path = require(cfg, "ingest.flows")
     column_map = require(cfg, "ingest.column_map")
     benign_label = require(cfg, "ingest.benign_label")
-    ratio = float(require(cfg, "ingest.undersample_ratio"))
+    ratio = setting(cfg, "ingest.undersample_ratio", float)
 
     parsed = capture.parse_capture(pcap_path)
     flows = capture.read_flow_csv(flows_path, column_map)
@@ -107,7 +107,7 @@ def _heldout_classes(cfg: dict, wd: Path) -> list[str]:
         if not isinstance(classes, list):
             raise ManifestInvalid(f"{heldout_file}: heldout_classes must be a list")
         return classes
-    return list(require(cfg, "split.heldout_classes"))
+    return setting_list(cfg, "split.heldout_classes", str)
 
 
 def stage_split(cfg: dict) -> splits.SplitResult:
@@ -115,7 +115,7 @@ def stage_split(cfg: dict) -> splits.SplitResult:
     sample_set = persistence.load_sample_set(wd / SAMPLES)
     spec = splits.SplitSpec(
         heldout_classes=frozenset(_heldout_classes(cfg, wd)),
-        benign_ratios=tuple(require(cfg, "split.benign_ratios")),
+        benign_ratios=tuple(setting_list(cfg, "split.benign_ratios", float, 3)),
         seed=_seed(cfg),
     )
     result = splits.build_splits(sample_set, spec)
@@ -129,7 +129,7 @@ def stage_split(cfg: dict) -> splits.SplitResult:
 def stage_cluster(cfg: dict) -> clustering.ClusteringReport:
     wd = workdir_of(cfg)
     params = settings(cfg, "cluster", clustering.EmbeddingParams, seed=_seed(cfg))
-    sweep = {key: int(require(cfg, f"cluster.{key}")) for key in ("k_min", "k_max", "restarts")}
+    sweep = {key: setting(cfg, f"cluster.{key}", int) for key in ("k_min", "k_max", "restarts")}
     d1 = persistence.load_sample_set(wd / D1)
     embedding = clustering.tsne_embed(d1.samples.features.astype(np.float64) / 255.0, params)
     report = clustering.select_cluster_count(embedding, **sweep, seed=_seed(cfg))
@@ -179,7 +179,7 @@ def stage_train_meta(cfg: dict) -> meta.MetaEnsemble:
 
 def stage_evaluate(cfg: dict) -> evaluation.EvalReport:
     wd = workdir_of(cfg)
-    quantile = float(require(cfg, "eval.baseline_quantile"))
+    quantile = setting(cfg, "eval.baseline_quantile", float)
     base, meta_ens = persistence.load_bundle(wd / BUNDLE_DIR)
     if meta_ens is None:
         raise UntrainedModel("bundle has no meta-classifiers; run train-meta first")

@@ -623,15 +623,47 @@ def meta_feature_oracle(ensemble, samples):
     return np.stack(cols, axis=1)
 
 
+def predict_tree_oracle(nodes, X):
+    """Route every row of X through one tree; returns the leaf values."""
+    idx = np.zeros(X.shape[0], dtype=np.int64)
+    active = nodes.feature[idx] >= 0
+    while active.any():
+        rows = np.flatnonzero(active)
+        node = idx[rows]
+        go_left = X[rows, nodes.feature[node]] <= nodes.threshold[node]
+        idx[rows] = np.where(go_left, nodes.left[node], nodes.right[node])
+        active = nodes.feature[idx] >= 0
+    return nodes.value[idx]
+
+
 def forest_proba_oracle(forest, X):
-    return np.mean([trees.predict_tree(t, X) for t in forest.trees], axis=0)
+    return np.mean([predict_tree_oracle(t, X) for t in forest.trees], axis=0)
 
 
 def boost_proba_oracle(model, X):
     F = np.full(X.shape[0], model.base_score)
     for tree in model.trees:
-        F = F + model.learning_rate * trees.predict_tree(tree, X)
+        F = F + model.learning_rate * predict_tree_oracle(tree, X)
     return 1.0 / (1.0 + np.exp(-F))
+
+
+def boost_fit_oracle(model, X, y):
+    """`model` fitted with F updated by routing the training rows through
+    each new tree, not from the leaf values the grower recorded."""
+    prior = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
+    model.base_score = float(np.log(prior / (1.0 - prior)))
+    F = np.full(X.shape[0], model.base_score)
+    model.trees = []
+    for _ in range(model.rounds):
+        p = 1.0 / (1.0 + np.exp(-F))
+        g, h = p - y, np.maximum(p * (1.0 - p), 1e-12)
+        if model.growth == "depthwise":
+            tree, _ = trees.build_tree(X, g, h, model.max_depth, trees.BOOST_LAMBDA)
+        else:
+            tree, _ = trees.build_boost_tree_leafwise(X, g, h, model.max_leaves)
+        model.trees.append(tree)
+        F = F + model.learning_rate * predict_tree_oracle(tree, X)
+    return model
 
 
 def verdict_csv_oracle(mf, verdicts) -> bytes:

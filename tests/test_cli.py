@@ -131,6 +131,38 @@ class TestConfigSections:
         assert main(["train-base", "--config", _write_config(tmp_path, cfg)]) == 1
         assert f"config key learners.{key}: expected int, got {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "stage, key, value",
+        [
+            ("cluster", "cluster.k_max", "abc"),
+            ("cluster", "cluster.k_max", 15.5),  # int() would truncate it to 15
+            ("cluster", "cluster.k_min", True),
+            ("cluster", "cluster.restarts", None),
+            ("split", "seed", "x"),
+            ("ingest", "ingest.undersample_ratio", "2"),
+            ("evaluate", "eval.baseline_quantile", "high"),
+            ("split", "split.benign_ratios", ["a", 0.3, 0.2]),
+            ("split", "split.benign_ratios", 5),
+            ("split", "split.benign_ratios", [0.5, 0.5]),
+            ("split", "split.benign_ratios", [float("nan"), 0.3, 0.2]),
+            ("split", "split.heldout_classes", [1]),
+            ("split", "split.heldout_classes", [["Bot"]]),
+            ("split", "split.heldout_classes", "Bot"),
+        ],
+    )
+    def test_stage_refuses_ill_typed_value(self, finished_run, tmp_path, capsys, stage, key, value):
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        cfg = json.loads(json.dumps({**cfg, "workdir": str(wd)}))
+        cfg["pipeline"]["source"] = "existing"  # so split reads split.heldout_classes
+        section, _, name = key.rpartition(".")
+        (cfg[section] if section else cfg)[name] = value
+        assert main([stage, "--config", _write_config(tmp_path, cfg)]) == 1
+        assert f"config key {key}: expected " in capsys.readouterr().err
+
     def test_leftover_run_baseline_is_ignored(self, finished_run, tmp_path):
         import shutil
 
@@ -455,6 +487,20 @@ class TestExitCodes:
         assert (bundle / "notes.txt").read_text() == "kept"
         assert main(["train-meta", "--config", config_path]) == 0
         assert len(list(bundle.glob("meta_*.bin"))) == len(META_FAMILIES)
+
+    def test_forest_without_trees_is_range_error(self, finished_run, tmp_path, capsys):
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        cfg = json.loads(json.dumps({**cfg, "workdir": str(wd)}))
+        cfg["meta"]["forest_trees"] = 0
+        assert main(["train-meta", "--config", _write_config(tmp_path, cfg)]) == 3
+        assert "forest_trees must be >= 1, got 0" in capsys.readouterr().err
+        assert (wd / "bundle" / "meta_random_forest.bin").read_bytes() == (
+            workdir / "bundle" / "meta_random_forest.bin"
+        ).read_bytes()
 
     def test_missing_sample_set_is_io_error(self, tmp_path):
         cfg = _small_config(tmp_path / "wd")

@@ -7,15 +7,16 @@ from osnids.trees import (
     RandomForest,
     build_boost_tree_leafwise,
     build_tree,
-    distinct_rows,
-    predict_tree,
+    predict_trees,
 )
 
 from helpers import (
+    boost_fit_oracle,
     boost_proba_oracle,
     forest_proba_oracle,
     gini_best_splits,
     gini_tree_oracle,
+    predict_tree_oracle,
     split_oracle,
 )
 
@@ -29,7 +30,7 @@ def _xor_free_data(rng, n=200):
 
 def gini_tree(X, y, max_depth, rng, max_features):
     """The forest's CART: the second-order tree with g = -y, h = 1, lambda = 0."""
-    return build_tree(X, -y, np.ones(len(y)), max_depth, 0.0, rng, max_features)
+    return build_tree(X, -y, np.ones(len(y)), max_depth, 0.0, rng, max_features)[0]
 
 
 class TestGiniTree:
@@ -37,7 +38,7 @@ class TestGiniTree:
         rng = np.random.default_rng(0)
         X, y = _xor_free_data(rng)
         tree = gini_tree(X, y, max_depth=3, rng=rng, max_features=4)
-        assert ((predict_tree(tree, X) >= 0.5) == (y == 1)).all()
+        assert ((predict_tree_oracle(tree, X) >= 0.5) == (y == 1)).all()
 
     def test_pure_node_becomes_leaf(self):
         rng = np.random.default_rng(1)
@@ -69,7 +70,7 @@ class TestBoostTreeBuilders:
         X = rng.random((300, 5))
         g = rng.normal(0, 1, 300)
         h = np.full(300, 0.25)
-        tree = build_tree(X, g, h, max_depth=3, reg_lambda=1.0)
+        tree, _ = build_tree(X, g, h, max_depth=3, reg_lambda=1.0)
         # depth-3 binary tree: <= 7 internal + 8 leaves
         assert len(tree) <= 15
         assert (tree.feature >= -1).all()
@@ -79,7 +80,7 @@ class TestBoostTreeBuilders:
         X = rng.random((300, 5))
         g = rng.normal(0, 1, 300)
         h = np.full(300, 0.25)
-        tree = build_boost_tree_leafwise(X, g, h, max_leaves=15)
+        tree, _ = build_boost_tree_leafwise(X, g, h, max_leaves=15)
         n_leaves = int((tree.feature == -1).sum())
         assert 1 <= n_leaves <= 15
 
@@ -87,7 +88,7 @@ class TestBoostTreeBuilders:
         X = np.zeros((10, 1))  # unsplittable: single leaf
         g = np.arange(10, dtype=float)
         h = np.full(10, 0.5)
-        tree = build_tree(X, g, h, max_depth=3, reg_lambda=1.0)
+        tree, _ = build_tree(X, g, h, max_depth=3, reg_lambda=1.0)
         assert len(tree) == 1
         assert tree.value[0] == -g.sum() / (h.sum() + 1.0)
 
@@ -286,6 +287,38 @@ class TestPresortedSplitFinder:
         assert sum(len(t) for t in new.trees) > len(new.trees)  # the trees did split
 
 
+class TestRecordedLeafValues:
+    """Each grower records every training row's leaf value as it places the
+    row, and the boosted fit adds those to F instead of routing X."""
+
+    @pytest.mark.parametrize("grower", ["gini", "depthwise", "leafwise"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_recorded_values_equal_routing(self, seed, grower):
+        rng = np.random.default_rng(500 + seed)
+        X = _tied_matrix(rng, 200, 5)
+        X = X[rng.integers(0, 200, 200)]  # repeated rows, as in a bootstrap
+        g, h = rng.normal(0, 1, 200), rng.uniform(1e-3, 0.25, 200)
+        if grower == "gini":
+            tree, fitted = build_tree(X, -(g > 0.3).astype(float), np.ones(200), 6, 0.0, rng, 3)
+        elif grower == "depthwise":
+            tree, fitted = build_tree(X, g, h, 4, 1.0)
+        else:
+            tree, fitted = build_boost_tree_leafwise(X, g, h, 15)
+        assert len(tree) > 7
+        assert fitted.tobytes() == predict_tree_oracle(tree, X).tobytes()
+
+    @pytest.mark.parametrize("growth", ["depthwise", "leafwise"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fit_equals_routed_update_oracle(self, seed, growth):
+        rng = np.random.default_rng(600 + seed)
+        X = _tied_matrix(rng, 200, 6)
+        y = ((X[:, 0] > 0.5) ^ (X[:, 1] > 0.4) | (rng.random(200) < 0.1)).astype(float)
+        new = GradientBoostedTrees(growth=growth, rounds=15).fit(X, y)
+        old = boost_fit_oracle(GradientBoostedTrees(growth=growth, rounds=15), X, y)
+        assert _tree_bytes(new) == _tree_bytes(old) and new.base_score == old.base_score
+        assert sum(len(t) for t in new.trees) > 3 * len(new.trees)  # the trees did split
+
+
 def _families(X, y):
     """One fitted model per tree family, each with its per-tree-loop oracle."""
     return [
@@ -298,6 +331,13 @@ def _families(X, y):
 def _split_pairs(model):
     nodes = [(t.feature[t.feature >= 0], t.threshold[t.feature >= 0]) for t in model.trees]
     return np.concatenate([f for f, _ in nodes]), np.concatenate([t for _, t in nodes])
+
+
+def _depth(tree):
+    depth = np.zeros(len(tree), dtype=int)
+    for i in np.flatnonzero(tree.feature >= 0):  # children follow their parent
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    return depth.max()
 
 
 class TestDistinctRowRouting:
@@ -315,6 +355,30 @@ class TestDistinctRowRouting:
         for model, oracle in _families(X, y):
             got = model.predict_proba(batch)
             assert got.shape == (n,) and got.tobytes() == oracle(model, batch).tobytes()
+
+    def test_equals_per_tree_loop_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(trees, "ROW_BLOCK", 7)
+        rng = np.random.default_rng(41)
+        X = rng.random((300, 5))
+        y = ((X[:, 0] > 0.5) ^ (X[:, 1] > 0.3) | (rng.random(300) < 0.1)).astype(float)
+        lone_last_rows = 0
+        for model, oracle in _families(X, y):
+            feats, thrs = _split_pairs(model)
+            for n in range(2, 40):
+                batch = rng.random((n, 5))
+                m = len(np.unique(batch[:, feats] <= thrs, axis=0))
+                lone_last_rows += m > 1 and m % 7 == 1
+                assert model.predict_proba(batch).tobytes() == oracle(model, batch).tobytes()
+        assert lone_last_rows >= 6  # batches whose last block would hold one row
+
+    def test_equals_per_tree_loop_deep_leafwise(self):
+        rng = np.random.default_rng(42)
+        X = rng.random((2000, 7))
+        y = (rng.random(2000) < 0.3 + 0.4 * (X[:, 0] > 0.5)).astype(float)
+        model = GradientBoostedTrees(growth="leafwise", rounds=10).fit(X, y)
+        assert max(_depth(t) for t in model.trees) >= 8
+        batch = np.concatenate([rng.random((3000, 7)), X[:500]])
+        assert model.predict_proba(batch).tobytes() == boost_proba_oracle(model, batch).tobytes()
 
     def test_values_on_thresholds_go_left(self):
         rng = np.random.default_rng(50)
@@ -344,6 +408,16 @@ class TestDistinctRowRouting:
         for model, _ in _families(X, y):
             feats, thrs = _split_pairs(model)
             compared = X[:, feats] <= thrs
-            rows, inverse = distinct_rows(model.trees, X)
-            assert len(rows) == len(np.unique(compared, axis=0)) < len(X)
-            assert ((rows[inverse][:, feats] <= thrs) == compared).all()
+            blocks = []
+
+            def group_ids(values):  # each routed row's leaf values; returns its group number
+                start = sum(b.shape[1] for b in blocks)
+                blocks.append(values.copy())
+                return np.arange(start, start + values.shape[1], dtype=np.float64)
+
+            group = predict_trees(model.trees, X, group_ids).astype(int)
+            m = sum(b.shape[1] for b in blocks)
+            assert m == len(np.unique(compared, axis=0)) < len(X)
+            assert len(np.unique(np.column_stack([group, compared]), axis=0)) == m  # a group compares alike
+            routed = np.stack([predict_tree_oracle(t, X) for t in model.trees])
+            assert np.concatenate(blocks, axis=1)[:, group].tobytes() == routed.tobytes()
