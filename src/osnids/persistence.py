@@ -129,6 +129,47 @@ def write_ppm(image: np.ndarray, path) -> None:
     write_atomic(path, [header, img.astype(np.uint8).tobytes()])
 
 
+# --- the one reader of the binary formats ---
+
+
+class _Reader:
+    """A cursor over a file's bytes, never copied. Every read is checked
+    against the end here: a read past it, or trailing bytes at `end()`, raise
+    `error`, the format's error class, so a hostile file fails only with it."""
+
+    def __init__(self, blob, error: type, where, pos: int = 0):
+        self.blob, self.error, self.where, self.pos = memoryview(blob), error, where, pos
+
+    def _advance(self, size: int) -> int:
+        """Step over `size` bytes; returns where they start."""
+        start = self.pos
+        if start + size > len(self.blob):
+            raise self.error(f"{self.where}: {size} bytes needed at offset {start}, {len(self.blob) - start} left")
+        self.pos = start + size
+        return start
+
+    def take(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.blob, self._advance(struct.calcsize(fmt)))
+
+    def raw(self, n: int) -> memoryview:
+        start = self._advance(n)
+        return self.blob[start : self.pos]
+
+    def arrays(self, dtypes, count: int) -> list[np.ndarray]:
+        """`count` values of each dtype, the arrays one after another, as
+        read-only views over the bytes."""
+        start = self._advance(count * sum(dtype.itemsize for dtype in dtypes))
+        views = []
+        for dtype in dtypes:
+            views.append(np.frombuffer(self.blob, dtype, count, start))
+            start += count * dtype.itemsize
+        return views
+
+    def end(self) -> None:
+        if self.pos != len(self.blob):
+            raise self.error(f"{self.where}: {len(self.blob) - self.pos} trailing bytes")
+
+
 # --- sample sets ---
 
 
@@ -147,39 +188,21 @@ def load_sample_set(path) -> SampleSet:
     blob = _read_bytes(path)
     if blob[: len(SAMPLESET_MAGIC)] != SAMPLESET_MAGIC:
         raise BadMagic(f"{path}: not a sample-set file")
-    pos = len(SAMPLESET_MAGIC)
-
-    def take(fmt: str):
-        nonlocal pos
-        size = struct.calcsize(fmt)
-        if pos + size > len(blob):
-            raise CountMismatch(f"{path}: file truncated at offset {pos}")
-        vals = struct.unpack_from(fmt, blob, pos)
-        pos += size
-        return vals
-
-    (version,) = take("<H")
+    r = _Reader(blob, CountMismatch, path, len(SAMPLESET_MAGIC))
+    (version,) = r.take("<H")
     if version != SAMPLESET_VERSION:
         raise VersionUnsupported(f"{path}: sample-set version {version} unsupported")
-    (n_classes,) = take("<H")
+    (n_classes,) = r.take("<H")
     class_names = []
     for i in range(n_classes):
-        (name_len,) = take("<H")
-        if pos + name_len > len(blob):
-            raise CountMismatch(f"{path}: class table truncated")
+        (name_len,) = r.take("<H")
         try:
-            class_names.append(blob[pos : pos + name_len].decode("utf-8"))
+            class_names.append(str(r.raw(name_len), "utf-8"))
         except UnicodeDecodeError as exc:
             raise BadEncoding(f"{path}: class name {i} is not valid UTF-8") from exc
-        pos += name_len
-    (count,) = take("<Q")
-
-    expected = pos + count * RECORD_DTYPE.itemsize
-    if len(blob) != expected:
-        raise CountMismatch(
-            f"{path}: declared {count} records ({expected} bytes), file has {len(blob)} bytes"
-        )
-    samples = np.frombuffer(blob, dtype=RECORD_DTYPE, count=count, offset=pos)
+    (count,) = r.take("<Q")
+    (samples,) = r.arrays([RECORD_DTYPE], count)
+    r.end()
     return SampleSet(class_names=class_names, samples=samples)
 
 
@@ -190,18 +213,18 @@ def _write_payload(path: Path, payload: bytes) -> None:
     write_atomic(path, [struct.pack("<I", len(payload)), payload, struct.pack("<I", zlib.crc32(payload))])
 
 
-def _read_payload(path: Path) -> bytes:
-    blob = _read_bytes(path)
-    if len(blob) < 8:
-        raise ManifestInvalid(f"{path}: parameter file too short")
-    (length,) = struct.unpack_from("<I", blob, 0)
-    if len(blob) != 8 + length:
-        raise ManifestInvalid(f"{path}: declared payload {length} bytes, file has {len(blob) - 8}")
-    payload = blob[4 : 4 + length]
-    (crc,) = struct.unpack_from("<I", blob, 4 + length)
+def _read_payload(path: Path) -> _Reader:
+    """A reader over the file's CRC-checked payload. The CRC guards against
+    corruption, not against a hostile file with a recomputed checksum."""
+    if not path.exists():
+        raise ManifestInvalid(f"bundle missing parameter file {path.name}")
+    frame = _Reader(_read_bytes(path), ManifestInvalid, path)
+    payload = frame.raw(frame.take("<I")[0])
+    (crc,) = frame.take("<I")
+    frame.end()
     if zlib.crc32(payload) != crc:
         raise ChecksumMismatch(f"{path}: CRC32 mismatch")
-    return payload
+    return _Reader(payload, ManifestInvalid, path)
 
 
 _KIND_TAGS = {LOGISTIC: 1, CONVNET: 2}
@@ -210,23 +233,6 @@ _N_PARAMS = {LOGISTIC: LOGISTIC_N_PARAMS, CONVNET: CONVNET_N_PARAMS}
 _META_TAGS = {"logistic": 10, "random_forest": 11, "boost_depthwise": 12, "boost_leafwise": 13}
 # feature, threshold, left, right, value: one array after another
 _NODE_DTYPES = tuple(np.dtype(t) for t in ("<i4", "<f8", "<i4", "<i4", "<f8"))
-_NODE_BYTES = sum(t.itemsize for t in _NODE_DTYPES)
-
-# Every read below is bounded by the payload length: the CRC guards against
-# corruption, not against a hostile file with a recomputed checksum.
-
-
-def _take(payload: bytes, pos: int, fmt: str) -> tuple[tuple, int]:
-    end = pos + struct.calcsize(fmt)
-    if end > len(payload):
-        raise ManifestInvalid(f"parameter payload truncated at offset {pos}")
-    return struct.unpack_from(fmt, payload, pos), end
-
-
-def _done(payload: bytes, pos: int, decoded):
-    if pos != len(payload):
-        raise ManifestInvalid(f"parameter payload has {len(payload) - pos} trailing bytes")
-    return decoded
 
 
 def _encode_array(arr: np.ndarray) -> bytes:
@@ -240,26 +246,25 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _decode_array(payload: bytes, pos: int, expected: int) -> tuple[np.ndarray, int]:
-    (size,), pos = _take(payload, pos, "<I")
+def _decode_array(r: _Reader, expected: int) -> np.ndarray:
+    (size,) = r.take("<I")
     if size != expected:
         raise ManifestInvalid(f"parameter array holds {size} values, expected {expected}")
-    if pos + 8 * size > len(payload):
-        raise ManifestInvalid("parameter array runs past the payload's end")
-    return _finite(np.frombuffer(payload, dtype="<f8", count=size, offset=pos).copy()), pos + 8 * size
+    return _finite(r.arrays([np.dtype("<f8")], size)[0])
 
 
 def _encode_scorer(scorer: BinaryScorer) -> bytes:
     return struct.pack("<B", _KIND_TAGS[scorer.kind]) + _encode_array(scorer.params)
 
 
-def _decode_scorer(payload: bytes, meta: dict) -> BinaryScorer:
-    (tag,), pos = _take(payload, 0, "<B")
+def _decode_scorer(r: _Reader, meta: dict) -> BinaryScorer:
+    (tag,) = r.take("<B")
     if tag not in _TAG_KINDS:
         raise ManifestInvalid(f"unknown scorer kind tag {tag}")
     kind = _TAG_KINDS[tag]
-    params, pos = _decode_array(payload, pos, _N_PARAMS[kind])
-    return _done(payload, pos, BinaryScorer(kind=kind, params=params, training_meta=dict(meta)))
+    params = _decode_array(r, _N_PARAMS[kind])
+    r.end()
+    return BinaryScorer(kind=kind, params=params, training_meta=dict(meta))
 
 
 def _encode_tree(tree: TreeNodes) -> bytes:
@@ -269,17 +274,11 @@ def _encode_tree(tree: TreeNodes) -> bytes:
     )
 
 
-def _decode_tree(payload: bytes, pos: int) -> tuple[TreeNodes, int]:
-    (n,), pos = _take(payload, pos, "<I")
-    end = pos + n * _NODE_BYTES
-    if n == 0 or end > len(payload):
-        room = (len(payload) - pos) // _NODE_BYTES
-        raise ManifestInvalid(f"tree declares {n} nodes; the payload has room for {room}")
-    arrays = []
-    for dtype in _NODE_DTYPES:
-        arrays.append(np.frombuffer(payload, dtype=dtype, count=n, offset=pos).copy())
-        pos += n * dtype.itemsize
-    return TreeNodes(*arrays), end
+def _decode_tree(r: _Reader) -> TreeNodes:
+    (n,) = r.take("<I")
+    if n == 0:
+        raise ManifestInvalid("tree declares no nodes")
+    return TreeNodes(*r.arrays(_NODE_DTYPES, n))
 
 
 def _check_trees(trees: list[TreeNodes], n_features: int) -> None:
@@ -310,32 +309,36 @@ def _encode_meta_classifier(family: str, clf) -> bytes:
     return body
 
 
-def _decode_meta_classifier(family: str, payload: bytes, n_features: int):
-    (tag,), pos = _take(payload, 0, "<B")
+def _decode_meta_classifier(family: str, r: _Reader, n_features: int):
+    (tag,) = r.take("<B")
     if tag != _META_TAGS[family]:
         raise ManifestInvalid(f"meta family {family} has wrong tag {tag}")
     if family == "logistic":
         clf = LogisticMetaClassifier()
-        clf.coef, pos = _decode_array(payload, pos, n_features + 1)
-        return _done(payload, pos, clf)
-    if family == "random_forest":
-        clf = RandomForest()
-        (n_trees,), pos = _take(payload, pos, "<I")
-        if n_trees == 0:
-            raise ManifestInvalid("random forest has no trees")
+        clf.coef = _decode_array(r, n_features + 1)
     else:
-        clf = GradientBoostedTrees(growth="depthwise" if family == "boost_depthwise" else "leafwise")
-        (clf.base_score, clf.learning_rate, n_trees), pos = _take(payload, pos, "<ddI")
-        _finite(np.array([clf.base_score, clf.learning_rate]))
-    clf.trees = []
-    for _ in range(n_trees):
-        tree, pos = _decode_tree(payload, pos)
-        clf.trees.append(tree)
-    _check_trees(clf.trees, n_features)
-    return _done(payload, pos, clf)
+        if family == "random_forest":
+            clf = RandomForest()
+            (n_trees,) = r.take("<I")
+            if n_trees == 0:
+                raise ManifestInvalid("random forest has no trees")
+        else:
+            clf = GradientBoostedTrees(growth="depthwise" if family == "boost_depthwise" else "leafwise")
+            clf.base_score, clf.learning_rate, n_trees = r.take("<ddI")
+            _finite(np.array([clf.base_score, clf.learning_rate]))
+        clf.trees = [_decode_tree(r) for _ in range(n_trees)]
+        _check_trees(clf.trees, n_features)
+    r.end()
+    return clf
 
 
 # --- model bundles ---
+
+
+def _parameter_files(n_scorers: int, families: Sequence[str]) -> list[str]:
+    """A bundle's parameter file names, scorer i's then each meta family's:
+    what the saver writes and keeps, and all the loader opens."""
+    return [f"base_{i:03d}.bin" for i in range(n_scorers)] + [f"meta_{family}.bin" for family in families]
 
 
 def save_bundle(
@@ -352,33 +355,22 @@ def save_bundle(
     except OSError as exc:
         raise IoFailure(f"cannot create bundle directory {root}: {exc}") from exc
 
-    scorer_files = []
-    for i, scorer in enumerate(base.scorers):
-        name = f"base_{i:03d}.bin"
-        _write_payload(root / name, _encode_scorer(scorer))
-        scorer_files.append(name)
-
-    meta_files = []
-    families = []
-    holdout = {}
-    if meta is not None:
-        families = list(meta.families)
-        holdout = dict(meta.holdout_accuracy)
-        for family, clf in zip(meta.families, meta.classifiers):
-            name = f"meta_{family}.bin"
-            _write_payload(root / name, _encode_meta_classifier(family, clf))
-            meta_files.append(name)
+    families, classifiers = (list(meta.families), meta.classifiers) if meta is not None else ([], [])
+    names = _parameter_files(len(base.scorers), families)
+    payloads = [*map(_encode_scorer, base.scorers), *map(_encode_meta_classifier, families, classifiers)]
+    for name, payload in zip(names, payloads):
+        _write_payload(root / name, payload)
 
     manifest = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "n_clusters": base.n_clusters,
         "image_geometry": list(IMAGE_SHAPE),
         "scorer_kinds": [s.kind for s in base.scorers],
-        "scorer_files": scorer_files,
+        "scorer_files": names[: len(base.scorers)],
         "scorer_meta": [{k: v for k, v in s.training_meta.items() if k != "loss_curve"} for s in base.scorers],
         "meta_families": families,
-        "meta_files": meta_files,
-        "meta_holdout_accuracy": holdout,
+        "meta_files": names[len(base.scorers) :],
+        "meta_holdout_accuracy": dict(meta.holdout_accuracy) if meta is not None else {},
         "seeds": {
             "base": [s.training_meta.get("seed") for s in base.scorers],
             "meta": meta.seed if meta is not None else None,
@@ -386,26 +378,26 @@ def save_bundle(
         "training_config_digest": config_digest,
     }
     write_json(root / "manifest.json", manifest)
-    listed = set(scorer_files + meta_files)
     try:
         # parameter files of an earlier save that this manifest no longer lists
         for stale in [*root.glob("base_*.bin"), *root.glob("meta_*.bin")]:
-            if stale.name not in listed:
+            if stale.name not in names:
                 stale.unlink()
     except OSError as exc:
         raise IoFailure(f"cannot remove stale parameter files: {exc}") from exc
 
 
-def _field(manifest: dict, key: str, kind: type, default, item: Optional[type] = None):
-    """manifest[key] (or `default` when absent), which must be a `kind`
-    whose elements, if `item` is given, are each an `item`."""
-    value = manifest.get(key, default)
+def json_field(obj: dict, key: str, kind: type, default, item: Optional[type] = None):
+    """obj[key] of a workdir JSON object (or `default` when absent), which
+    must be a `kind` whose elements, if `item` is given, are each an `item`;
+    else `ManifestInvalid`."""
+    value = obj.get(key, default)
     if (
         not isinstance(value, kind)
         or isinstance(value, bool)
         or (item is not None and not all(isinstance(v, item) for v in value))
     ):
-        raise ManifestInvalid(f"manifest {key} has the wrong type ({type(value).__name__})")
+        raise ManifestInvalid(f"{key} must be a {kind.__name__}{f' of {item.__name__}' if item else ''}")
     return value
 
 
@@ -418,35 +410,31 @@ def load_bundle(path) -> tuple[BaseEnsemble, Optional[MetaEnsemble]]:
     if manifest.get("image_geometry") != list(IMAGE_SHAPE):
         raise ManifestInvalid(f"bundle image geometry {manifest.get('image_geometry')} is not {list(IMAGE_SHAPE)}")
 
-    n_clusters = _field(manifest, "n_clusters", int, None)
-    scorer_files = _field(manifest, "scorer_files", list, [], str)
+    n_clusters = json_field(manifest, "n_clusters", int, None)
+    scorer_files = json_field(manifest, "scorer_files", list, [], str)
     if n_clusters != len(scorer_files):
         raise ManifestInvalid(f"manifest N={n_clusters} but {len(scorer_files)} scorer files")
-    scorer_meta = _field(manifest, "scorer_meta", list, [], dict) or [{} for _ in scorer_files]
+    scorer_meta = json_field(manifest, "scorer_meta", list, [], dict) or [{} for _ in scorer_files]
     if len(scorer_meta) != len(scorer_files):
         raise ManifestInvalid(f"{len(scorer_meta)} scorer_meta entries for {len(scorer_files)} scorers")
-    scorers = []
-    for name, m in zip(scorer_files, scorer_meta):
-        file_path = root / name
-        if not file_path.exists():
-            raise ManifestInvalid(f"bundle missing scorer file {name}")
-        scorers.append(_decode_scorer(_read_payload(file_path), m))
+    families = json_field(manifest, "meta_families", list, [])
+    meta_files = json_field(manifest, "meta_files", list, [], str)
+    holdout = json_field(manifest, "meta_holdout_accuracy", dict, {})
+    seeds = json_field(manifest, "seeds", dict, {})
+    if families and tuple(families) != META_FAMILIES:
+        raise ManifestInvalid(f"unexpected meta families {families}")
+    names = _parameter_files(n_clusters, families)
+    if scorer_files + meta_files != names:
+        raise ManifestInvalid(f"manifest lists parameter files {scorer_files + meta_files}, not {names}")
+
+    scorers = [_decode_scorer(_read_payload(root / name), m) for name, m in zip(names, scorer_meta)]
     if "scorer_kinds" in manifest and manifest["scorer_kinds"] != [s.kind for s in scorers]:
         raise ManifestInvalid("manifest scorer_kinds do not match the scorer files' kind tags")
     base = BaseEnsemble(scorers=scorers, n_clusters=n_clusters)
-
-    families = _field(manifest, "meta_families", list, [])
-    meta_files = _field(manifest, "meta_files", list, [], str)
-    holdout = _field(manifest, "meta_holdout_accuracy", dict, {})
-    seeds = _field(manifest, "seeds", dict, {})
     if not families:
         return base, None
-    if tuple(families) != META_FAMILIES or len(meta_files) != len(families):
-        raise ManifestInvalid(f"unexpected meta families {families}")
-    classifiers = []
-    for family, name in zip(families, meta_files):
-        file_path = root / name
-        if not file_path.exists():
-            raise ManifestInvalid(f"bundle missing meta file {name}")
-        classifiers.append(_decode_meta_classifier(family, _read_payload(file_path), n_clusters))
+    classifiers = [
+        _decode_meta_classifier(family, _read_payload(root / name), n_clusters)
+        for family, name in zip(families, names[n_clusters:])
+    ]
     return base, MetaEnsemble(classifiers=classifiers, holdout_accuracy=holdout, seed=seeds.get("meta") or 0)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import capture, clustering, evaluation, learners, meta, persistence, splits
 from .config import require, setting, setting_list, settings
-from .errors import ConfigError, IoFailure, ManifestInvalid, UntrainedModel
+from .errors import ConfigError, IoFailure, UntrainedModel
 from .samples import BENIGN_CLASS_ID, SampleSet
 
 log = logging.getLogger("osnids")
@@ -103,10 +103,7 @@ def _heldout_classes(cfg: dict, wd: Path) -> list[str]:
         heldout_file = wd / HELDOUT
         if not heldout_file.exists():
             raise ConfigError(f"{heldout_file} not found; run the synth stage first")
-        classes = persistence.read_json(heldout_file).get("heldout_classes")
-        if not isinstance(classes, list):
-            raise ManifestInvalid(f"{heldout_file}: heldout_classes must be a list")
-        return classes
+        return persistence.json_field(persistence.read_json(heldout_file), "heldout_classes", list, None, str)
     return setting_list(cfg, "split.heldout_classes", str)
 
 

@@ -65,36 +65,37 @@ def node_table(trees: list[TreeNodes]) -> tuple[TreeNodes, np.ndarray]:
     return TreeNodes(feature, threshold, left + shift, right + shift, value), bounds
 
 
-# Distinct rows routed at a time. Each block is combined before the next
+# Distinct rows routed at a time. Each block is summed before the next
 # starts, so memory does not grow with the batch: on 200k distinct rows a
 # boosted family peaks at 27 MB, and at 1,161 MB routed as one block.
 ROW_BLOCK = 1024
 
 
-def predict_trees(trees: list[TreeNodes], X: np.ndarray, combine) -> np.ndarray:
-    """The family's output for every row of X: `combine` maps a C-contiguous
-    (T, b) block of leaf values, a column per row, to the b rows' outputs.
-
-    Only the first of each group of rows that compare alike with every split
-    is routed. A row's key is, per feature, how many of the family's
-    thresholds on it lie below its value, which fixes every `x <= t`; a 1-D
-    `np.unique` on the keys' bytes groups them (`axis=0` is far slower).
-    Each pass moves every (tree, row) pair still on a split node one level
-    down.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    table, bounds = node_table(trees)
+def _groups(table: TreeNodes, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each group of rows alike in every `x <= t` of the
+    table, and each row's group: a 1-D `np.unique` of keys that count, per
+    feature, the thresholds below the row's value (`axis=0` is far slower)."""
     keys = np.empty(X.shape, dtype=np.min_scalar_type(len(table)))
     for j in range(X.shape[1]):
         keys[:, j] = np.searchsorted(np.sort(table.threshold[table.feature == j]), X[:, j])
     rows = keys.view(np.dtype((np.void, keys.itemsize * X.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def predict_trees(trees: list[TreeNodes], X: np.ndarray, start: float, scale: float) -> np.ndarray:
+    """`start + scale * leaf value` for every row of X, added tree by tree in
+    the trees' order as one `cumsum` over a start row stacked on the scaled
+    (T, b) leaf values, so a row's sum does not depend on its batch. Only the
+    first row of each of `_groups` is routed; each pass moves every (tree,
+    row) pair still on a split node one level down."""
+    X = np.asarray(X, dtype=np.float64)
+    table, bounds = node_table(trees)
+    first, inverse = _groups(table, X)
     X, d = X[first], X.shape[1]
     flat, out = X.ravel(), np.empty(len(X))
-    # a lone last row joins the block before it: numpy sums a (T, 1) block
-    # pairwise but a wider one row by row, which can differ in the last bit
-    edges = [0, *range(ROW_BLOCK, len(X) - 1, ROW_BLOCK), len(X)]
-    for lo, hi in zip(edges, edges[1:]):
+    for lo in range(0, len(X), ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, len(X))
         node = np.repeat(bounds[:-1], hi - lo)  # one (tree, row) pair per entry, tree-major
         row = np.tile(np.arange(lo * d, hi * d, d), len(trees))  # each pair's row, as an offset into `flat`
         live = np.flatnonzero(table.feature[node] >= 0)
@@ -104,7 +105,8 @@ def predict_trees(trees: list[TreeNodes], X: np.ndarray, combine) -> np.ndarray:
             at = np.where(go_left, table.left[at], table.right[at])
             node[live] = at
             live = live[table.feature[at] >= 0]
-        out[lo:hi] = combine(table.value[node].reshape(len(trees), hi - lo))
+        leaves = table.value[node].reshape(len(trees), hi - lo)
+        out[lo:hi] = np.cumsum(np.concatenate([np.full((1, hi - lo), start), scale * leaves]), axis=0)[-1]
     return out[inverse]
 
 
@@ -243,7 +245,7 @@ class RandomForest:
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return predict_trees(self.trees, X, lambda values: values.mean(axis=0))
+        return predict_trees(self.trees, X, 0.0, 1.0) / len(self.trees)
 
 
 @dataclass
@@ -278,10 +280,6 @@ class GradientBoostedTrees:
             F = F + self.learning_rate * fitted
         return self
 
-    def _proba(self, values: np.ndarray) -> np.ndarray:
-        steps = np.concatenate([np.full((1, values.shape[1]), self.base_score), self.learning_rate * values])
-        F = np.cumsum(steps, axis=0)[-1]  # F + lr * v, tree by tree, as the fit added them
-        return 1.0 / (1.0 + np.exp(-F))
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return predict_trees(self.trees, X, self._proba)
+        F = predict_trees(self.trees, X, self.base_score, self.learning_rate)  # F + lr * v, as the fit added them
+        return 1.0 / (1.0 + np.exp(-F))

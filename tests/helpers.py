@@ -637,7 +637,10 @@ def predict_tree_oracle(nodes, X):
 
 
 def forest_proba_oracle(forest, X):
-    return np.mean([predict_tree_oracle(t, X) for t in forest.trees], axis=0)
+    total = np.zeros(X.shape[0])
+    for tree in forest.trees:  # tree by tree, for a batch of one row too
+        total = total + predict_tree_oracle(tree, X)
+    return total / len(forest.trees)
 
 
 def boost_proba_oracle(model, X):

@@ -592,6 +592,19 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
         assert list(tmp_path.rglob("*.tmp")) == []
 
+    @pytest.mark.parametrize("classes", [[1], ["Bot", 2], [None], [["Bot"]], "Bot"])
+    def test_heldout_json_of_non_strings_is_format_error(self, finished_run, tmp_path, capsys, classes):
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        wd.mkdir()
+        shutil.copy(workdir / "samples.sset", wd)
+        (wd / "heldout.json").write_text(json.dumps({"heldout_classes": classes}))
+        assert main(["split", "--config", _write_config(tmp_path, {**cfg, "workdir": str(wd)})]) == 2
+        assert "heldout_classes must be a list of str" in capsys.readouterr().err
+        assert sorted(p.name for p in wd.iterdir()) == ["heldout.json", "samples.sset"]
+
     def test_train_base_does_not_read_clustering_json(self, finished_run, tmp_path):
         import shutil
 

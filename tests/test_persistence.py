@@ -2,6 +2,7 @@ import ast
 import json
 import re
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osnids import persistence
 from osnids.errors import (
     BadEncoding,
     BadMagic,
@@ -169,6 +171,15 @@ class TestSampleSetValidation:
         with pytest.raises(BadEncoding) as info:
             load_sample_set(root / "enc.sset")
         assert info.value.exit_code == 2
+
+    def test_every_proper_prefix_is_refused(self, small_sset, monkeypatch):
+        _, original = small_sset
+        prefix = []
+        monkeypatch.setattr(persistence, "_read_bytes", lambda path: prefix[0])  # served from memory
+        for n in range(len(original)):
+            prefix[:] = [original[:n]]
+            with pytest.raises((BadMagic, CountMismatch)):
+                load_sample_set("prefix.sset")
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -400,6 +411,41 @@ class TestHostileBundles:
             _restore(root, originals)
         assert [s.kind for s in base.scorers] == ["logistic", "logistic"]
 
+    def test_every_proper_prefix_of_a_payload_is_refused(self, saved_bundle, monkeypatch):
+        """Each prefix framed with its length and CRC, so only the decoder
+        can object; served from memory, the other files as saved."""
+        root, originals = saved_bundle
+        served = {}
+        monkeypatch.setattr(persistence, "_read_bytes", lambda path: served.get(path.name) or originals[path.name])
+        for name in sorted(n for n in originals if n.endswith(".bin")):
+            payload = originals[name][4:-4]
+            for n in range(len(payload)):
+                served[name] = struct.pack("<I", n) + payload[:n] + struct.pack("<I", zlib.crc32(payload[:n]))
+                with pytest.raises(ManifestInvalid):
+                    load_bundle(root)
+            del served[name]
+        assert load_bundle(root)[1] is not None
+
+    @pytest.mark.parametrize("listed", ["absolute", "parent_dir"])
+    def test_loader_opens_only_the_names_it_derives(self, saved_bundle, monkeypatch, listed):
+        """A manifest listing a valid scorer file outside the bundle is refused
+        before that file is read."""
+        root, originals = saved_bundle
+        outside = root.parent / "outside.bin"
+        outside.write_bytes(originals["base_001.bin"])
+        data = json.loads(originals["manifest.json"])
+        data["scorer_files"][1] = str(outside) if listed == "absolute" else "../outside.bin"
+        (root / "manifest.json").write_text(json.dumps(data))
+        opened, read = [], persistence._read_bytes
+        monkeypatch.setattr(persistence, "_read_bytes", lambda path: opened.append(Path(path)) or read(path))
+        try:
+            with pytest.raises(ManifestInvalid):
+                load_bundle(root)
+        finally:
+            _restore(root, originals)
+            outside.unlink()
+        assert opened and all(p.parent == root for p in opened)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_mutated_parameter_file_is_bundle_or_pipeline_error(self, saved_bundle, trained_pair, data):
@@ -469,3 +515,26 @@ def test_only_persistence_writes_files():
         if path.name != "persistence.py"
     }
     assert {name: lines for name, lines in offenders.items() if lines} == {}
+
+
+_DECODING_CALLS = {"unpack", "unpack_from", "frombuffer"}
+
+
+def _decoding_calls(tree: ast.AST) -> list[int]:
+    """Lines that call `struct.unpack`, `struct.unpack_from` or
+    `np.frombuffer`, as attributes or as bare names."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in _DECODING_CALLS
+    ]
+
+
+def test_only_the_reader_decodes_bytes():
+    path = Path(persistence.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reader = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Reader")
+    inside = _decoding_calls(reader)
+    assert len(inside) >= 2  # the reader itself unpacks and views
+    assert sorted(_decoding_calls(tree)) == sorted(inside)

@@ -7,7 +7,6 @@ from osnids.trees import (
     RandomForest,
     build_boost_tree_leafwise,
     build_tree,
-    predict_trees,
 )
 
 from helpers import (
@@ -343,8 +342,8 @@ def _depth(tree):
 class TestDistinctRowRouting:
     """`predict_proba` routes one row per distinct comparison pattern and
     gathers; it must equal routing every row through every tree, byte for
-    byte, including the forest's `np.mean(axis=0)` and boosting's sequential
-    `F + lr * v`."""
+    byte, with the leaf values summed tree by tree: the forest's mean and
+    boosting's sequential `F + lr * v`."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 257, 3000])
     def test_equals_per_tree_loop(self, n):
@@ -401,23 +400,43 @@ class TestDistinctRowRouting:
                 batch = rng.random((n, 3))
                 assert model.predict_proba(batch).tobytes() == oracle(model, batch).tobytes()
 
-    def test_groups_are_the_distinct_comparison_rows(self):
+    def test_groups_are_the_distinct_comparison_rows(self, monkeypatch):
         rng = np.random.default_rng(52)
         X = _tied_matrix(rng, 400, 5)
         y = (X[:, 1] > 0.4).astype(float)
-        for model, _ in _families(X, y):
+        groups = trees._groups
+        for model, oracle in _families(X, y):
             feats, thrs = _split_pairs(model)
             compared = X[:, feats] <= thrs
-            blocks = []
-
-            def group_ids(values):  # each routed row's leaf values; returns its group number
-                start = sum(b.shape[1] for b in blocks)
-                blocks.append(values.copy())
-                return np.arange(start, start + values.shape[1], dtype=np.float64)
-
-            group = predict_trees(model.trees, X, group_ids).astype(int)
-            m = sum(b.shape[1] for b in blocks)
+            seen = []
+            monkeypatch.setattr(trees, "_groups", lambda table, rows: seen.append(groups(table, rows)) or seen[-1])
+            got = model.predict_proba(X)
+            [(first, group)] = seen
+            m = len(first)
             assert m == len(np.unique(compared, axis=0)) < len(X)
             assert len(np.unique(np.column_stack([group, compared]), axis=0)) == m  # a group compares alike
+            assert np.array_equal(first[group[first]], first)  # each routed row heads its own group
             routed = np.stack([predict_tree_oracle(t, X) for t in model.trees])
-            assert np.concatenate(blocks, axis=1)[:, group].tobytes() == routed.tobytes()
+            assert routed[:, first[group]].tobytes() == routed.tobytes()  # its leaf values are every member's
+            assert got.tobytes() == oracle(model, X).tobytes()
+
+    def test_stump_forest_row_alone_equals_row_in_batch(self):
+        """numpy sums a (T, 1) block pairwise and a wider one row by row, so a
+        mean over the trees gave [0.2] alone other last bits than in a batch."""
+        rng = np.random.default_rng(0)
+        X = rng.random((200, 1))
+        y = (rng.random(200) < 0.3 + 0.4 * (X[:, 0] > 0.5)).astype(float)
+        forest = RandomForest(n_trees=100, max_depth=1, seed=0).fit(X, y)
+        assert sum(len(t) == 3 for t in forest.trees) > 50  # mostly stumps, each its own leaf values
+        alone = forest.predict_proba(np.array([[0.2]]))
+        in_batch = forest.predict_proba(np.array([[0.2], [0.8]]))
+        assert alone.tobytes() == in_batch[:1].tobytes() == forest_proba_oracle(forest, np.array([[0.2]])).tobytes()
+
+    def test_each_row_alone_equals_its_batch(self):
+        rng = np.random.default_rng(53)
+        X = rng.random((300, 5))
+        y = ((X[:, 0] > 0.5) ^ (X[:, 1] > 0.3) | (rng.random(300) < 0.1)).astype(float)
+        batch = np.concatenate([rng.random((40, 5)), X[:40]])
+        for model, oracle in _families(X, y):
+            alone = np.concatenate([model.predict_proba(batch[i : i + 1]) for i in range(len(batch))])
+            assert alone.tobytes() == model.predict_proba(batch).tobytes() == oracle(model, batch).tobytes()
