@@ -32,7 +32,7 @@ EXAGGERATION_ITERS = 250
 MOMENTUM_EARLY, MOMENTUM_LATE, MOMENTUM_SWITCH_ITER = 0.5, 0.8, 250
 # bandwidth bisection: stop within this entropy of log(perplexity), or after this many steps
 ENTROPY_TOL, BISECTION_STEPS = 1e-5, 50
-FLOAT32_MIN_ROWS = 128  # a smaller map keeps float64: it costs under 0.1 s more per 1000 iterations
+FLOAT32_MIN_ROWS = 128  # a smaller map keeps float64: its outcome hangs on the last bits
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,9 @@ class EmbeddingParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.perplexity <= 0:
-            raise InvalidRange(f"perplexity must be > 0, got {self.perplexity}")
+        for name in ("perplexity", "early_exaggeration", "learning_rate"):
+            if not getattr(self, name) > 0:  # NaN too
+                raise InvalidRange(f"{name} must be > 0, got {getattr(self, name)}")
         if self.iterations < EXAGGERATION_ITERS:
             raise InvalidRange(f"iterations must be >= {EXAGGERATION_ITERS}, got {self.iterations}")
 
@@ -77,7 +78,6 @@ def _conditional_affinities(d2: np.ndarray, perplexity: float) -> np.ndarray:
         dmin = d.min()
         ds = d - dmin  # entropy is shift invariant; keeps exp() in range
         beta, beta_min, beta_max = 1.0, -np.inf, np.inf
-        p = np.exp(-ds)
         for _ in range(BISECTION_STEPS):
             p = np.exp(-ds * beta)
             z = p.sum()
@@ -110,10 +110,20 @@ def _kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
 
 
 def _student_t(Y: np.ndarray, num: np.ndarray, Q: np.ndarray) -> None:
-    """In place: num = 1 / (1 + |y_i - y_j|^2) off the diagonal, 0 on it; Q = num / num.sum()."""
-    _squared_distances(Y, out=num, work=Q)
-    num += 1.0
-    np.divide(1.0, num, out=num)
+    """In place: num = 1 / (1 + |y_i - y_j|^2) off the diagonal, 0 on it; Q = num / num.sum().
+    A float64 map keeps the loop as first written; a float32 map forms 1 + |y_i - y_j|^2
+    in one product, [y, |y|^2, 1] @ [-2y, 1, 1 + |y|^2].T."""
+    if Y.dtype == np.float64:
+        _squared_distances(Y, out=num, work=Q)
+        num += 1.0
+        np.divide(1.0, num, out=num)
+    else:
+        sq = np.sum(Y * Y, axis=1)
+        one = np.ones_like(sq)
+        np.matmul(np.column_stack([Y, sq, one]), np.column_stack([-2.0 * Y, one, one + sq]).T, out=num)
+        diag = num.diagonal().copy()  # each column's value for a duplicate row: 1 + 0, up to rounding
+        np.maximum(num, diag, out=num)
+        np.divide(diag, num, out=num)  # so duplicates get exactly 1, whatever the BLAS kernel's rounding
     np.fill_diagonal(num, 0.0)
     np.divide(num, num.sum(), out=Q)
 
@@ -222,8 +232,8 @@ def _lloyd(P: np.ndarray, centroids: np.ndarray, max_iter: int = 300) -> KMeansR
 
         converged = np.array_equal(new_assign, assignments)
         assignments = new_assign
-        for j in range(k):
-            centroids[j] = P[assignments == j].mean(axis=0)
+        for d in range(P.shape[1]):  # row-order sums, as mean(axis=0) sums an (m, dim >= 2) array
+            centroids[:, d] = np.bincount(assignments, weights=P[:, d], minlength=k) / counts
         trace.append(float(np.sum((P - centroids[assignments]) ** 2)))
         if converged:
             break

@@ -192,12 +192,13 @@ def split_oracle(X, g, h, reg_lambda, feature_ids):
 
 
 def tsne_oracle(X, params, dtype=np.float64):
-    """Exact t-SNE with the optimisation loop as first written: fresh n x n
-    temporaries every iteration and the KL trace always computed. The
-    affinities are float64; the joint P and the descent are in `dtype`
-    (float64 is the loop as first written) and KL sums in float64. Only the
-    perplexity bisection comes from `clustering`. Returns (Y, kl_trace), Y
-    in `dtype`."""
+    """Exact t-SNE with fresh n x n temporaries every iteration and the KL
+    trace always computed. The affinities are float64; the joint P and the
+    descent are in `dtype` and KL sums in float64. float64 is the loop as
+    first written; float32 forms 1 + |y_i - y_j|^2 from the one product
+    [y, |y|^2, 1] @ [-2y, 1, 1 + |y|^2].T and divides each column into its
+    own diagonal. Only the perplexity bisection comes from `clustering`.
+    Returns (Y, kl_trace), Y in `dtype`."""
 
     def sqdist(Z):
         sq = np.sum(Z * Z, axis=1)
@@ -205,6 +206,18 @@ def tsne_oracle(X, params, dtype=np.float64):
         np.maximum(d2, 0.0, out=d2)
         np.fill_diagonal(d2, 0.0)
         return d2
+
+    def student_t(Z):
+        if Z.dtype == np.float64:
+            num = 1.0 / (1.0 + sqdist(Z))
+        else:
+            sq = np.sum(Z * Z, axis=1)
+            one = np.ones_like(sq)
+            one_plus_d2 = np.column_stack([Z, sq, one]) @ np.column_stack([-2.0 * Z, one, one + sq]).T
+            diag = one_plus_d2.diagonal().copy()
+            num = diag / np.maximum(one_plus_d2, diag)
+        np.fill_diagonal(num, 0.0)
+        return num
 
     def kl(P, Q):
         mask = P > 0
@@ -224,8 +237,7 @@ def tsne_oracle(X, params, dtype=np.float64):
         exaggerating = it < clustering.EXAGGERATION_ITERS
         P_eff = P * params.early_exaggeration if exaggerating else P
         momentum = clustering.MOMENTUM_EARLY if it < clustering.MOMENTUM_SWITCH_ITER else clustering.MOMENTUM_LATE
-        num = 1.0 / (1.0 + sqdist(Y))
-        np.fill_diagonal(num, 0.0)
+        num = student_t(Y)
         Q = num / num.sum()
         PQn = (P_eff - Q) * num
         grad = 4.0 * (PQn.sum(axis=1)[:, None] * Y - PQn @ Y)
@@ -237,8 +249,7 @@ def tsne_oracle(X, params, dtype=np.float64):
         Y += velocity
         Y -= Y.mean(axis=0)
         if not exaggerating and (it + 1 - clustering.EXAGGERATION_ITERS) % 50 == 0:
-            num = 1.0 / (1.0 + sqdist(Y))
-            np.fill_diagonal(num, 0.0)
+            num = student_t(Y)
             kl_trace.append(kl(P, num / num.sum()))
     return Y, kl_trace
 

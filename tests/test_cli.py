@@ -605,6 +605,24 @@ class TestExitCodes:
         assert "heldout_classes must be a list of str" in capsys.readouterr().err
         assert sorted(p.name for p in wd.iterdir()) == ["heldout.json", "samples.sset"]
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("learning_rate", 0.0), ("learning_rate", -200.0), ("early_exaggeration", 0.0), ("early_exaggeration", -12.0)],
+    )
+    def test_cluster_refuses_non_positive_step_size(self, finished_run, tmp_path, capsys, key, value):
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        wd.mkdir()
+        shutil.copy(workdir / "d1.sset", wd)
+        cfg = json.loads(json.dumps({**cfg, "workdir": str(wd)}))
+        cfg["cluster"][key] = value
+        assert main(["cluster", "--config", _write_config(tmp_path, cfg)]) == 3
+        assert f"{key} must be > 0" in capsys.readouterr().err
+        assert not (wd / "clustering.json").exists() and not (wd / "d1_clustered.sset").exists()
+        assert sorted(p.name for p in wd.iterdir()) == ["d1.sset"]
+
     def test_train_base_does_not_read_clustering_json(self, finished_run, tmp_path):
         import shutil
 

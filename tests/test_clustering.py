@@ -295,6 +295,41 @@ class TestTsne:
         with pytest.raises(InvalidRange):
             EmbeddingParams(iterations=200)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("learning_rate", 0.0), ("learning_rate", -200.0), ("learning_rate", np.nan), ("early_exaggeration", 0.0),
+         ("early_exaggeration", np.nan), ("perplexity", np.nan)],
+    )
+    def test_settings_must_be_positive(self, field, value):
+        with pytest.raises(InvalidRange, match=field):
+            EmbeddingParams(**{field: value})
+
+
+class TestStudentTKernel:
+    """The float32 kernel against its float64 definition 1 / (1 + |y_i - y_j|^2),
+    on a layout as wide as a finished D1 embedding, with duplicated rows."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float32_kernel_equals_definition(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 720
+        angle, radius = rng.uniform(0, 2 * np.pi, n), 35.0 * np.sqrt(rng.uniform(0, 1, n))
+        Y = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+        copies, originals = rng.choice(n, 80, replace=False).reshape(2, 40)
+        Y[copies] = Y[originals]
+        Y = Y.astype(np.float32)
+        num, Q = np.empty((n, n), np.float32), np.empty((n, n), np.float32)
+        clustering._student_t(Y, num, Q)
+
+        Y64 = Y.astype(np.float64)
+        exact = 1.0 / (1.0 + np.sum((Y64[:, None, :] - Y64[None, :, :]) ** 2, axis=2))
+        off = ~np.eye(n, dtype=bool)
+        assert np.max(np.abs(num[off] - exact[off]) / exact[off]) <= 1e-3
+        assert np.all(np.diagonal(num) == 0.0)
+        assert np.all(num[off] > 0.0) and np.all(num[off] <= 1.0)
+        assert np.all(num[copies, originals] == 1.0) and np.all(num[originals, copies] == 1.0)
+        assert abs(float(Q.sum(dtype=np.float64)) - 1.0) <= 1e-5
+
 
 class TestTsneAgainstOracle:
     """The in-place float32 loop must reproduce the allocating float32 one
