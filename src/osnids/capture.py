@@ -10,9 +10,11 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from collections.abc import Sequence
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -77,24 +79,39 @@ class FlowRecord:
             raise ValueOutOfRange("flow label must be non-empty")
 
 
-@dataclass
-class ParseResult:
-    """Parsed packets plus counters for everything that was skipped."""
+@dataclass(eq=False)
+class ParseResult(Sequence):
+    """Decoded packets as columns over the capture's bytes, in file order,
+    and a count per skip reason. Column 0 of `ip` and `port` is the source;
+    a payload is `data[payload_start:payload_start + payload_len]`.
+    Indexing (and `.packets[i]`) builds one `RawPacketRecord`."""
 
-    packets: list[RawPacketRecord] = field(default_factory=list)
-    skipped: dict[str, int] = field(default_factory=dict)
+    data: bytes
+    skipped: dict[str, int]
+    timestamp: np.ndarray
+    ip: np.ndarray  # (n, 2) 32-bit addresses
+    port: np.ndarray  # (n, 2)
+    tcp: np.ndarray  # TCP, else UDP
+    payload_start: np.ndarray
+    payload_len: np.ndarray
 
-    def __iter__(self):
-        return iter(self.packets)
+    @property
+    def packets(self) -> "ParseResult":
+        return self
 
-    def __len__(self):
-        return len(self.packets)
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __getitem__(self, i: int) -> RawPacketRecord:
+        src_ip, dst_ip = map(_ipv4_str, self.ip[i].tolist())
+        src_port, dst_port = self.port[i].tolist()
+        start = int(self.payload_start[i])
+        payload = self.data[start : start + int(self.payload_len[i])]
+        protocol = TCP if self.tcp[i] else UDP
+        return RawPacketRecord(float(self.timestamp[i]), src_ip, dst_ip, src_port, dst_port, protocol, payload)
 
     def skip_count(self) -> int:
         return sum(self.skipped.values())
-
-    def _skip(self, reason: str) -> None:
-        self.skipped[reason] = self.skipped.get(reason, 0) + 1
 
 
 @dataclass
@@ -104,118 +121,97 @@ class UnmatchedReport:
     empty_payload: int = 0
 
 
-def _ipv4_str(raw: bytes) -> str:
-    return f"{raw[0]}.{raw[1]}.{raw[2]}.{raw[3]}"
+def _ipv4_str(addr: int) -> str:
+    return f"{addr >> 24}.{addr >> 16 & 0xFF}.{addr >> 8 & 0xFF}.{addr & 0xFF}"
 
 
 def parse_capture(path) -> ParseResult:
-    """Decode a pcap file into IPv4 TCP/UDP packet records, in file order."""
+    """Decode a pcap file into IPv4 TCP/UDP packet columns, in file order."""
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise UnreadableFile(f"cannot open capture {path}: {exc}") from exc
 
-    with fh:
-        head = fh.read(4)
-        if len(head) < 4:
-            raise TruncatedHeader(f"{path}: global header shorter than 24 bytes")
-        (magic_be,) = struct.unpack(">I", head)
-        (magic_le,) = struct.unpack("<I", head)
-        if magic_be in (MAGIC_USEC, MAGIC_NSEC):
-            endian = ">"
-            frac_div = 1e6 if magic_be == MAGIC_USEC else 1e9
-        elif magic_le in (MAGIC_USEC, MAGIC_NSEC):
-            endian = "<"
-            frac_div = 1e6 if magic_le == MAGIC_USEC else 1e9
-        else:
-            raise BadMagic(f"{path}: magic 0x{magic_be:08x} is not a pcap header")
+    if len(data) < 4:
+        raise TruncatedHeader(f"{path}: global header shorter than 24 bytes")
+    for endian in (">", "<"):
+        (magic,) = struct.unpack_from(endian + "I", data)
+        if magic in (MAGIC_USEC, MAGIC_NSEC):
+            break
+    else:
+        raise BadMagic(f"{path}: magic 0x{data[:4].hex()} is not a pcap header")
+    if len(data) < 24:
+        raise TruncatedHeader(f"{path}: global header shorter than 24 bytes")
+    snaplen, network = struct.unpack_from(endian + "II", data, 16)
+    if network != LINKTYPE_ETHERNET:
+        raise BadMagic(f"{path}: unsupported link type {network} (only Ethernet is read)")
+    if snaplen == 0 or snaplen > MAX_SNAPLEN:
+        snaplen = MAX_SNAPLEN
 
-        rest = fh.read(20)
-        if len(rest) < 20:
-            raise TruncatedHeader(f"{path}: global header shorter than 24 bytes")
-        _vmaj, _vmin, _zone, _sigfigs, snaplen, network = struct.unpack(endian + "HHiIII", rest)
-        if network != LINKTYPE_ETHERNET:
-            raise BadMagic(f"{path}: unsupported link type {network} (only Ethernet is read)")
-        if snaplen == 0 or snaplen > MAX_SNAPLEN:
-            snaplen = MAX_SNAPLEN
+    records = []  # (ts_sec, ts_frac, start, incl_len) per record
+    rec_hdr = struct.Struct(endian + "III")
+    pos, end = 24, len(data)
+    while pos < end:
+        if end - pos < 16:
+            raise TruncatedHeader(f"{path}: record header truncated at record {len(records)}")
+        ts_sec, ts_frac, incl_len = rec_hdr.unpack_from(data, pos)
+        if incl_len > snaplen:
+            raise CountMismatch(f"{path}: record {len(records)} declares {incl_len} bytes, above snaplen {snaplen}")
+        pos += 16 + incl_len
+        if pos > end:
+            raise TruncatedHeader(f"{path}: record data truncated (declared {incl_len}, got {end - pos + incl_len})")
+        records.append((ts_sec, ts_frac, pos - incl_len, incl_len))
+    ts_sec, ts_frac, start, length = np.array(records, dtype=np.int64).reshape(-1, 4).T
 
-        result = ParseResult()
-        rec_hdr = struct.Struct(endian + "IIII")
-        while True:
-            hdr = fh.read(16)
-            if not hdr:
-                break
-            if len(hdr) < 16:
-                raise TruncatedHeader(f"{path}: record header truncated at packet {len(result.packets)}")
-            ts_sec, ts_frac, incl_len, _orig_len = rec_hdr.unpack(hdr)
-            if incl_len > snaplen:
-                raise CountMismatch(
-                    f"{path}: packet {len(result.packets)} declares {incl_len} bytes, above snaplen {snaplen}"
-                )
-            data = fh.read(incl_len)
-            if len(data) < incl_len:
-                raise TruncatedHeader(f"{path}: record data truncated (declared {incl_len}, got {len(data)})")
-            packet = _decode_ethernet(float(ts_sec) + ts_frac / frac_div, data, result)
-            if packet is not None:
-                result.packets.append(packet)
-        return result
+    # Every frame is decoded at once. Each field is read for all frames,
+    # clamped to the file, and a frame leaves at the first check it fails,
+    # so what a failed frame's later fields read is never used.
+    view = np.frombuffer(data, dtype=np.uint8)
 
+    def at(pos, width=2):  # big-endian unsigned
+        value = np.zeros(np.shape(pos), dtype=np.int64)
+        for k in range(width):
+            value = value << 8 | view[np.minimum(pos + k, len(view) - 1)]
+        return value
 
-def _decode_ethernet(timestamp: float, data: bytes, result: ParseResult) -> Optional[RawPacketRecord]:
-    if len(data) < 14:
-        return result._skip("malformed")
-    offset = 12
-    (ethertype,) = struct.unpack_from(">H", data, offset)
-    offset += 2
-    while ethertype in ETHERTYPE_VLAN:
-        if len(data) < offset + 4:
-            return result._skip("malformed")
-        (ethertype,) = struct.unpack_from(">H", data, offset + 2)
-        offset += 4
-    if ethertype != ETHERTYPE_IPV4:
-        return result._skip("non_ip")
-    return _decode_ipv4(timestamp, data[offset:], result)
-
-
-def _decode_ipv4(timestamp: float, data: bytes, result: ParseResult) -> Optional[RawPacketRecord]:
-    if len(data) < 20:
-        return result._skip("malformed")
-    version_ihl = data[0]
-    if version_ihl >> 4 != 4:
-        return result._skip("malformed")
-    ihl = (version_ihl & 0x0F) * 4
-    total_len = struct.unpack_from(">H", data, 2)[0]
-    flags_frag = struct.unpack_from(">H", data, 6)[0]
-    proto = data[9]
-    if ihl < 20 or total_len < ihl:
-        return result._skip("malformed")
-    if len(data) < total_len:
-        # snaplen-truncated capture: declared IP length not present
-        return result._skip("malformed")
-    if flags_frag & 0x1FFF:
-        return result._skip("fragment")
-    if proto not in (IPPROTO_TCP, IPPROTO_UDP):
-        return result._skip("non_tcp_udp")
-
-    src_ip = _ipv4_str(data[12:16])
-    dst_ip = _ipv4_str(data[16:20])
-    segment = data[ihl:total_len]
-
-    if proto == IPPROTO_TCP:
-        if len(segment) < 20:
-            return result._skip("malformed")
-        src_port, dst_port = struct.unpack_from(">HH", segment, 0)
-        data_off = (segment[12] >> 4) * 4
-        if data_off < 20 or data_off > len(segment):
-            return result._skip("malformed")
-        return RawPacketRecord(timestamp, src_ip, dst_ip, src_port, dst_port, TCP, segment[data_off:])
-
-    if len(segment) < 8:
-        return result._skip("malformed")
-    src_port, dst_port, udp_len = struct.unpack_from(">HHH", segment, 0)
-    if udp_len < 8 or udp_len != len(segment):
-        return result._skip("malformed")
-    return RawPacketRecord(timestamp, src_ip, dst_ip, src_port, dst_port, UDP, segment[8:])
+    ethertype, offset = at(start + 12), np.full(len(start), 14)
+    tagged = np.flatnonzero((length >= 14) & np.isin(ethertype, ETHERTYPE_VLAN))
+    while tagged.size:  # one pass per VLAN tag depth; a truncated tag leaves -1, malformed
+        ethertype[tagged] = np.where(length[tagged] < offset[tagged] + 4, -1, at(start[tagged] + offset[tagged] + 2))
+        offset[tagged] += 4
+        tagged = tagged[np.isin(ethertype[tagged], ETHERTYPE_VLAN)]
+    ip, ip_len = start + offset, length - offset
+    version_ihl, total_len, proto = at(ip, 1), at(ip + 2), at(ip + 9, 1)
+    ihl, tcp = (version_ihl & 0x0F) * 4, proto == IPPROTO_TCP
+    segment, seg_len, udp_len = ip + ihl, total_len - ihl, at(ip + ihl + 4)
+    data_off = np.where(tcp, (at(segment + 12, 1) >> 4) * 4, 8)
+    reason = np.select(
+        [
+            (length < 14) | (ethertype == -1),
+            ethertype != ETHERTYPE_IPV4,
+            # ip_len < total_len: a snaplen-truncated capture
+            (ip_len < 20) | (version_ihl >> 4 != 4) | (ihl < 20) | (total_len < ihl) | (ip_len < total_len),
+            at(ip + 6) & 0x1FFF != 0,
+            ~tcp & (proto != IPPROTO_UDP),
+            # with data_off <= seg_len, these imply seg_len >= 20 (TCP) and udp_len >= 8
+            (data_off > seg_len) | np.where(tcp, data_off < 20, udp_len != seg_len),
+        ],
+        ["malformed", "non_ip", "malformed", "fragment", "non_tcp_udp", "malformed"],
+        "",
+    )
+    kept = reason == ""
+    ip, segment, data_off = ip[kept, None], segment[kept, None], data_off[kept]
+    return ParseResult(
+        data,
+        dict(Counter(reason[~kept].tolist())),
+        timestamp=ts_sec[kept] + ts_frac[kept] / (1e6 if magic == MAGIC_USEC else 1e9),
+        ip=at(ip + [12, 16], 4),
+        port=at(segment + [0, 2]),
+        tcp=tcp[kept],
+        payload_start=segment[:, 0] + data_off,
+        payload_len=seg_len[kept] - data_off,
+    )
 
 
 def extract_payload_features(packet: RawPacketRecord) -> Optional[np.ndarray]:
@@ -234,64 +230,66 @@ def extract_payload_features(packet: RawPacketRecord) -> Optional[np.ndarray]:
     return out
 
 
-def _endpoint_key(src_ip: str, src_port: int, dst_ip: str, dst_port: int, protocol: str):
-    # Order-free endpoint pair: a packet matches a flow in either direction.
-    a = (src_ip, src_port)
-    b = (dst_ip, dst_port)
-    return (min(a, b), max(a, b), protocol)
-
-
 def label_packets(
-    packets: Sequence[RawPacketRecord],
+    packets: ParseResult,
     flows: Sequence[FlowRecord],
     benign_label: str = "BENIGN",
 ) -> tuple[SampleSet, UnmatchedReport]:
     """Join packets against flow metadata on the bidirectional five-tuple.
 
     Among flows sharing a five-tuple, the one whose time window contains the
-    packet timestamp wins; remaining ties go to the earliest start time.
-    Unmatched and empty-payload packets are dropped and counted.
+    packet timestamp wins; remaining ties go to the earliest start time,
+    then to the earlier flow. A flow IP matches only as the exact dotted
+    quad a packet address prints as. Unmatched and empty-payload packets
+    are dropped and counted.
     """
     if not flows:
         raise EmptyFlowTable("flow table is empty")
 
-    index: dict[tuple, list[tuple[int, FlowRecord]]] = {}
-    for i, flow in enumerate(flows):
-        key = _endpoint_key(flow.src_ip, flow.src_port, flow.dst_ip, flow.dst_port, flow.protocol)
-        index.setdefault(key, []).append((i, flow))
+    class_names = [benign_label] + sorted({f.label for f in flows if f.label != benign_label})
+    class_id = {name: i for i, name in enumerate(class_names)}
+    # a flow IP string that no packet address prints as matches nothing (-1)
+    addr = defaultdict(lambda: -1, ((_ipv4_str(a), a) for a in np.unique(packets.ip).tolist()))
+    table = np.array(
+        [(addr[f.src_ip], addr[f.dst_ip], f.src_port, f.dst_port, f.protocol == TCP, class_id[f.label]) for f in flows],
+        dtype=np.int64,
+    )
+    usable = (table[:, :2] >= 0).all(axis=1) & np.isin([f.protocol for f in flows], (TCP, UDP))
+    table, window = table[usable], np.array([(f.start_time, f.start_time + f.duration) for f in flows])[usable]
 
-    attack_names = sorted({f.label for f in flows if f.label != benign_label})
-    class_names = [benign_label] + attack_names
-    class_ids = {name: i for i, name in enumerate(class_names)}
+    # One int64 per order-free endpoint pair and protocol, so a packet
+    # matches a flow in either direction; dense endpoint ids keep it exact.
+    # Each key's flows, sorted by (start, index), form one run of `order`.
+    n = len(packets)
+    endpoints = np.concatenate([packets.ip, table[:, :2]]) << 16 | np.concatenate([packets.port, table[:, 2:4]])
+    ids = np.unique(endpoints, return_inverse=True)[1].reshape(-1, 2)
+    key = (ids.min(axis=1) * endpoints.size + ids.max(axis=1)) * 2 + np.concatenate([packets.tcp, table[:, 4]])
+    order = np.lexsort((window[:, 0], key[n:]))
+    first = np.searchsorted(key[n:][order], key[:n])
+    count = np.searchsorted(key[n:][order], key[:n], side="right") - first
 
-    report = UnmatchedReport()
-    matched: list[int] = []
-    labels: list[int] = []
-    for n, packet in enumerate(packets):
-        if not packet.payload:
-            report.empty_payload += 1
-            continue
-        key = _endpoint_key(packet.src_ip, packet.src_port, packet.dst_ip, packet.dst_port, packet.protocol)
-        candidates = index.get(key)
-        if not candidates:
-            report.no_match += 1
-            continue
-        in_window = [
-            (i, f) for i, f in candidates if f.start_time <= packet.timestamp <= f.start_time + f.duration
-        ]
-        pool = in_window if in_window else candidates
-        _, best = min(pool, key=lambda item: (item[1].start_time, item[0]))
-        report.matched += 1
-        matched.append(n)
-        labels.append(class_ids[best.label])
-    # payloads go straight into the records; stacking per-row arrays would
-    # hold every payload twice at the peak
-    samples = np.recarray(len(matched), dtype=RECORD_DTYPE)
-    samples.label = labels
+    # Candidates rank by rank: the first in-window flow wins, else the first.
+    has_payload = packets.payload_len > 0
+    live = np.flatnonzero(has_payload & (count > 0))
+    choice = np.full(n, -1)
+    choice[live] = order[first[live]]
+    for rank in range(int(count.max(initial=0))):
+        live = live[count[live] > rank]
+        flow, ts = order[first[live] + rank], packets.timestamp[live]
+        hit = (window[flow, 0] <= ts) & (ts <= window[flow, 1])
+        choice[live[hit]] = flow[hit]
+        live = live[~hit]
+    matched = np.flatnonzero(choice >= 0)
+    report = UnmatchedReport(len(matched), int(np.sum(has_payload & (count == 0))), int(np.sum(~has_payload)))
+
+    samples = np.zeros(len(matched), dtype=RECORD_DTYPE).view(np.recarray)
+    samples.label = table[choice[matched], 5]
     samples.cluster = NO_CLUSTER
-    features = samples.features
-    for row, n in enumerate(matched):
-        features[row] = extract_payload_features(packets[n])
+    # row by row from the file's bytes: no (n, 1500) gather index is built
+    view, features = np.frombuffer(packets.data, dtype=np.uint8), samples.features
+    sizes = np.minimum(packets.payload_len[matched], FEATURE_LEN).tolist()
+    for row, (start, size) in enumerate(zip(packets.payload_start[matched].tolist(), sizes)):
+        features[row, :size] = view[start : start + size]
     return SampleSet(class_names=class_names, samples=samples), report
 
 

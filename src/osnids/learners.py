@@ -63,12 +63,6 @@ class TrainingConfig:
     l2: float = 1e-4
     seed: int = 0
 
-    @classmethod
-    def for_kind(cls, kind: str, seed: int = 0) -> "TrainingConfig":
-        if kind == CONVNET:
-            return cls(learning_rate=0.001, seed=seed)
-        return cls(seed=seed)
-
 
 @dataclass
 class BinaryScorer:
@@ -289,7 +283,7 @@ def train_scorer(
     """Mini-batch SGD on weighted cross-entropy, inverse-frequency weights."""
     if kind not in _KIND_FNS:
         raise GeometryMismatch(f"unknown scorer kind {kind!r}")
-    config = config or TrainingConfig.for_kind(kind)
+    config = config or TrainingConfig()
     init, loss_and_grad, scores = _KIND_FNS[kind]
 
     n = tensors.shape[0]
@@ -339,7 +333,7 @@ def train_base_ensemble(
     if not np.array_equal(present, np.arange(n)):
         raise MissingCluster(f"cluster ids {present.tolist()} do not cover 0..{n - 1}")
 
-    base = config or TrainingConfig.for_kind(kind)
+    base = config or TrainingConfig()
     seeds = np.random.SeedSequence(base.seed).generate_state(n)
     tensors = sample_tensors(d1)
     ys = [(d1.cluster == i).astype(np.float64) for i in range(n)]

@@ -78,13 +78,13 @@ def stage_ingest(cfg: dict) -> Path:
 
     parsed = capture.parse_capture(pcap_path)
     flows = capture.read_flow_csv(flows_path, column_map)
-    labeled, unmatched = capture.label_packets(parsed.packets, flows, benign_label=benign_label)
+    labeled, unmatched = capture.label_packets(parsed, flows, benign_label=benign_label)
     deduped = capture.deduplicate(labeled.samples)
     final = capture.undersample_benign(deduped, ratio, _seed(cfg))
     out = SampleSet(class_names=labeled.class_names, samples=final)
     persistence.save_sample_set(out, wd / SAMPLES)
     report = {
-        "packets": len(parsed.packets),
+        "packets": len(parsed),
         "skipped": parsed.skipped,
         "matched": unmatched.matched,
         "no_match": unmatched.no_match,
@@ -93,7 +93,7 @@ def stage_ingest(cfg: dict) -> Path:
         "after_undersample": len(final),
     }
     persistence.write_json(wd / INGEST_REPORT, report)
-    log.info("ingest: %d packets -> %d samples", len(parsed.packets), len(final))
+    log.info("ingest: %d packets -> %d samples", len(parsed), len(final))
     return wd / SAMPLES
 
 

@@ -12,12 +12,27 @@ import io
 import itertools
 import struct
 import zlib
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from osnids import clustering, learners, meta, trees
+from osnids.capture import (
+    ETHERTYPE_IPV4,
+    ETHERTYPE_VLAN,
+    IPPROTO_TCP,
+    IPPROTO_UDP,
+    LINKTYPE_ETHERNET,
+    MAGIC_NSEC,
+    MAGIC_USEC,
+    MAX_SNAPLEN,
+    TCP,
+    UDP,
+    RawPacketRecord,
+)
+from osnids.errors import BadMagic, CountMismatch, TruncatedHeader, UnreadableFile
 
 # --- pcap fixture construction ---
 
@@ -85,6 +100,13 @@ def build_pcap(
         out += struct.pack(endian + "IIII", sec, frac, len(frame), len(frame))
         out += frame
     return out
+
+
+def vlan_tagged(frame: bytes, tpids) -> bytes:
+    """`frame` with one 802.1Q/802.1ad tag per TPID inserted after the MAC
+    addresses, outermost first."""
+    tags = b"".join(struct.pack(">HH", tpid, 100 + i) for i, tpid in enumerate(tpids))
+    return frame[:12] + tags + frame[12:]
 
 
 # --- hostile model bundles ---
@@ -344,6 +366,127 @@ def gini_best_splits(X, y, feature_ids) -> set:
             elif score == best and found:
                 found.add((int(f), thr))
     return found
+
+
+@dataclass
+class OracleParse:
+    packets: list = field(default_factory=list)
+    skipped: dict = field(default_factory=dict)
+
+    def _skip(self, reason: str) -> None:
+        self.skipped[reason] = self.skipped.get(reason, 0) + 1
+
+
+def parse_oracle(path) -> OracleParse:
+    """The per-packet pcap decoder that `capture.parse_capture` replaced:
+    one record read, one frame decoded and one `RawPacketRecord` built at a
+    time. Its records, skip counts and exception classes are the spec."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise UnreadableFile(f"cannot open capture {path}: {exc}") from exc
+
+    with fh:
+        head = fh.read(4)
+        if len(head) < 4:
+            raise TruncatedHeader(f"{path}: global header shorter than 24 bytes")
+        (magic_be,) = struct.unpack(">I", head)
+        (magic_le,) = struct.unpack("<I", head)
+        if magic_be in (MAGIC_USEC, MAGIC_NSEC):
+            endian = ">"
+            frac_div = 1e6 if magic_be == MAGIC_USEC else 1e9
+        elif magic_le in (MAGIC_USEC, MAGIC_NSEC):
+            endian = "<"
+            frac_div = 1e6 if magic_le == MAGIC_USEC else 1e9
+        else:
+            raise BadMagic(f"{path}: magic 0x{magic_be:08x} is not a pcap header")
+
+        rest = fh.read(20)
+        if len(rest) < 20:
+            raise TruncatedHeader(f"{path}: global header shorter than 24 bytes")
+        _vmaj, _vmin, _zone, _sigfigs, snaplen, network = struct.unpack(endian + "HHiIII", rest)
+        if network != LINKTYPE_ETHERNET:
+            raise BadMagic(f"{path}: unsupported link type {network} (only Ethernet is read)")
+        if snaplen == 0 or snaplen > MAX_SNAPLEN:
+            snaplen = MAX_SNAPLEN
+
+        result = OracleParse()
+        rec_hdr = struct.Struct(endian + "IIII")
+        while True:
+            hdr = fh.read(16)
+            if not hdr:
+                break
+            if len(hdr) < 16:
+                raise TruncatedHeader(f"{path}: record header truncated at packet {len(result.packets)}")
+            ts_sec, ts_frac, incl_len, _orig_len = rec_hdr.unpack(hdr)
+            if incl_len > snaplen:
+                raise CountMismatch(
+                    f"{path}: packet {len(result.packets)} declares {incl_len} bytes, above snaplen {snaplen}"
+                )
+            data = fh.read(incl_len)
+            if len(data) < incl_len:
+                raise TruncatedHeader(f"{path}: record data truncated (declared {incl_len}, got {len(data)})")
+            packet = _oracle_ethernet(float(ts_sec) + ts_frac / frac_div, data, result)
+            if packet is not None:
+                result.packets.append(packet)
+        return result
+
+
+def _oracle_ethernet(timestamp: float, data: bytes, result: OracleParse):
+    if len(data) < 14:
+        return result._skip("malformed")
+    offset = 12
+    (ethertype,) = struct.unpack_from(">H", data, offset)
+    offset += 2
+    while ethertype in ETHERTYPE_VLAN:
+        if len(data) < offset + 4:
+            return result._skip("malformed")
+        (ethertype,) = struct.unpack_from(">H", data, offset + 2)
+        offset += 4
+    if ethertype != ETHERTYPE_IPV4:
+        return result._skip("non_ip")
+    return _oracle_ipv4(timestamp, data[offset:], result)
+
+
+def _oracle_ipv4(timestamp: float, data: bytes, result: OracleParse):
+    if len(data) < 20:
+        return result._skip("malformed")
+    version_ihl = data[0]
+    if version_ihl >> 4 != 4:
+        return result._skip("malformed")
+    ihl = (version_ihl & 0x0F) * 4
+    total_len = struct.unpack_from(">H", data, 2)[0]
+    flags_frag = struct.unpack_from(">H", data, 6)[0]
+    proto = data[9]
+    if ihl < 20 or total_len < ihl:
+        return result._skip("malformed")
+    if len(data) < total_len:
+        # snaplen-truncated capture: declared IP length not present
+        return result._skip("malformed")
+    if flags_frag & 0x1FFF:
+        return result._skip("fragment")
+    if proto not in (IPPROTO_TCP, IPPROTO_UDP):
+        return result._skip("non_tcp_udp")
+
+    src_ip = "%d.%d.%d.%d" % tuple(data[12:16])
+    dst_ip = "%d.%d.%d.%d" % tuple(data[16:20])
+    segment = data[ihl:total_len]
+
+    if proto == IPPROTO_TCP:
+        if len(segment) < 20:
+            return result._skip("malformed")
+        src_port, dst_port = struct.unpack_from(">HH", segment, 0)
+        data_off = (segment[12] >> 4) * 4
+        if data_off < 20 or data_off > len(segment):
+            return result._skip("malformed")
+        return RawPacketRecord(timestamp, src_ip, dst_ip, src_port, dst_port, TCP, segment[data_off:])
+
+    if len(segment) < 8:
+        return result._skip("malformed")
+    src_port, dst_port, udp_len = struct.unpack_from(">HHH", segment, 0)
+    if udp_len < 8 or udp_len != len(segment):
+        return result._skip("malformed")
+    return RawPacketRecord(timestamp, src_ip, dst_ip, src_port, dst_port, UDP, segment[8:])
 
 
 def join_oracle(packets, flows, benign_label="BENIGN"):

@@ -328,66 +328,92 @@ class TestBenchmarkContract:
         assert tracer.names() == {f"meta.fit.{family}" for family in META_FAMILIES}
 
 
+def _ingest_config(tmp_path):
+    """A small pcap and flow CSV (2 benign, 2 known and 1 unknown payload
+    template) and a config that ingests them into `tmp_path / "wd"`;
+    returns the config and the frame count."""
+    from helpers import build_pcap, ipv4_packet
+
+    rng = np.random.default_rng(21)
+    templates = rng.integers(0, 256, (5, 600))  # 2 benign, 2 known, 1 unknown
+
+    def payload(t):
+        body = np.clip(templates[t] + rng.integers(-4, 5, 600), 0, 255).astype(np.uint8)
+        body[0] = max(int(body[0]), 1)
+        return body.tobytes()
+
+    frames, stamps = [], []
+    hosts = {0: "10.0.0.1", 1: "10.0.0.2", 2: "10.0.1.1", 3: "10.0.1.2", 4: "10.0.2.1"}
+    for t in range(5):
+        count = 80 if t < 2 else 40
+        for _ in range(count):
+            frames.append(ipv4_packet(hosts[t], "10.9.9.9", 1000 + t, 80, "TCP", payload(t)))
+            stamps.append(float(rng.uniform(0, 50)))
+    pcap_path = tmp_path / "traffic.pcap"
+    pcap_path.write_bytes(build_pcap(frames, timestamps=stamps))
+
+    labels = ["BENIGN", "BENIGN", "atk_known_a", "atk_known_b", "atk_unknown"]
+    flow_lines = ["src,sport,dst,dport,proto,t0,dur,label"]
+    for t in range(5):
+        flow_lines.append(f"{hosts[t]},{1000 + t},10.9.9.9,80,TCP,0,60,{labels[t]}")
+    flows_path = tmp_path / "flows.csv"
+    flows_path.write_text("\n".join(flow_lines) + "\n")
+
+    cfg = _small_config(tmp_path / "wd")
+    cfg["pipeline"]["source"] = "ingest"
+    cfg["ingest"] = {
+        "pcap": str(pcap_path),
+        "flows": str(flows_path),
+        "benign_label": "BENIGN",
+        "undersample_ratio": 2.0,
+        "column_map": {
+            "src_ip": "src",
+            "src_port": "sport",
+            "dst_ip": "dst",
+            "dst_port": "dport",
+            "protocol": "proto",
+            "start_time": "t0",
+            "duration": "dur",
+            "label": "label",
+        },
+    }
+    cfg["split"]["heldout_classes"] = ["atk_unknown"]
+    cfg["cluster"].update({"perplexity": 8.0, "k_min": 2, "k_max": 6})
+    return cfg, len(frames)
+
+
 class TestIngestSource:
     def test_pcap_to_verdicts(self, tmp_path):
-        import numpy as np
-
-        from helpers import build_pcap, ipv4_packet
-
-        rng = np.random.default_rng(21)
-        templates = rng.integers(0, 256, (5, 600))  # 2 benign, 2 known, 1 unknown
-
-        def payload(t):
-            body = np.clip(templates[t] + rng.integers(-4, 5, 600), 0, 255).astype(np.uint8)
-            body[0] = max(int(body[0]), 1)
-            return body.tobytes()
-
-        frames, stamps = [], []
-        hosts = {0: "10.0.0.1", 1: "10.0.0.2", 2: "10.0.1.1", 3: "10.0.1.2", 4: "10.0.2.1"}
-        for t in range(5):
-            count = 80 if t < 2 else 40
-            for _ in range(count):
-                frames.append(ipv4_packet(hosts[t], "10.9.9.9", 1000 + t, 80, "TCP", payload(t)))
-                stamps.append(float(rng.uniform(0, 50)))
-        pcap_path = tmp_path / "traffic.pcap"
-        pcap_path.write_bytes(build_pcap(frames, timestamps=stamps))
-
-        labels = ["BENIGN", "BENIGN", "atk_known_a", "atk_known_b", "atk_unknown"]
-        flow_lines = ["src,sport,dst,dport,proto,t0,dur,label"]
-        for t in range(5):
-            flow_lines.append(f"{hosts[t]},{1000 + t},10.9.9.9,80,TCP,0,60,{labels[t]}")
-        flows_path = tmp_path / "flows.csv"
-        flows_path.write_text("\n".join(flow_lines) + "\n")
-
-        cfg = _small_config(tmp_path / "wd")
-        cfg["pipeline"]["source"] = "ingest"
-        cfg["ingest"] = {
-            "pcap": str(pcap_path),
-            "flows": str(flows_path),
-            "benign_label": "BENIGN",
-            "undersample_ratio": 2.0,
-            "column_map": {
-                "src_ip": "src",
-                "src_port": "sport",
-                "dst_ip": "dst",
-                "dst_port": "dport",
-                "protocol": "proto",
-                "start_time": "t0",
-                "duration": "dur",
-                "label": "label",
-            },
-        }
-        cfg["split"]["heldout_classes"] = ["atk_unknown"]
-        cfg["cluster"].update({"perplexity": 8.0, "k_min": 2, "k_max": 6})
+        cfg, n_frames = _ingest_config(tmp_path)
         config_path = _write_config(tmp_path, cfg)
 
         assert main(["run", "--config", config_path]) == 0
         report = json.loads((tmp_path / "wd" / "eval_report.json").read_text())
         assert report["tp"] + report["fn"] == 40  # all unknown-attack packets land in d3
         ingest = json.loads((tmp_path / "wd" / "ingest_report.json").read_text())
-        assert ingest["matched"] == len(frames)
+        assert ingest["matched"] == n_frames
         cluster = json.loads((tmp_path / "wd" / "clustering.json").read_text())
         assert cluster["selected_n"] == 2
+
+
+class TestStandardOutput:
+    """The benchmark harness reads the last line of its standard output as
+    its result, and it calls the serving functions in its own process with
+    standard output open, so no stage or library call may write there."""
+
+    def test_stages_and_serving_calls_write_nothing(self, tmp_path, capfd):
+        from osnids import meta, persistence, pipeline
+
+        cfg, _ = _ingest_config(tmp_path)
+        capfd.readouterr()
+        for stage in ("ingest", "split", "cluster", "train_base", "train_meta", "evaluate"):
+            getattr(pipeline, f"stage_{stage}")(cfg)
+        workdir = tmp_path / "wd"
+        base, meta_ens = persistence.load_bundle(workdir / "bundle")
+        samples = persistence.load_sample_set(workdir / "d3.sset").samples
+        verdicts, _ = meta.predict_batch(base, meta_ens, samples[:1])
+        assert len(verdicts) == 1
+        assert capfd.readouterr().out == ""
 
 
 def _run_cli_child(argv, **env):

@@ -239,7 +239,7 @@ class TestTrainingAgainstOracle:
         # 16 does not divide the 50 rows, so every epoch ends on a short batch;
         # l2 = 1e-3 makes the penalty terms large enough that adding them in
         # another order changes the last bit of some losses
-        lr = TrainingConfig.for_kind(kind).learning_rate
+        lr = 0.001 if kind == CONVNET else TrainingConfig().learning_rate
         return TrainingConfig(epochs=epochs, batch_size=16, learning_rate=lr, l2=1e-3, seed=seed)
 
     @pytest.mark.parametrize("kind", [LOGISTIC, CONVNET])
