@@ -40,6 +40,10 @@ class MetaConfig:
     def __post_init__(self):
         if self.forest_trees < 1:
             raise InvalidRange(f"forest_trees must be >= 1, got {self.forest_trees}")
+        if not 0 < self.boost_learning_rate < float("inf"):
+            raise InvalidRange(f"boost_learning_rate must be finite and > 0, got {self.boost_learning_rate}")
+        if not 0 <= self.holdout_fraction < 1:
+            raise InvalidRange(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
 
 
 class LogisticMetaClassifier:

@@ -36,7 +36,7 @@ from .features import IMAGE_SHAPE
 from .learners import BaseEnsemble, BinaryScorer, CONVNET, CONVNET_N_PARAMS, LOGISTIC, LOGISTIC_N_PARAMS
 from .meta import BENIGN, META_FAMILIES, UNKNOWN_ATTACK, VOTE_ARITY, LogisticMetaClassifier, MetaEnsemble, Verdicts
 from .samples import RECORD_DTYPE, SampleSet
-from .trees import GradientBoostedTrees, RandomForest, TreeNodes, node_table
+from .trees import GradientBoostedTrees, RandomForest, TreeFamily, TreeNodes
 
 SAMPLESET_MAGIC = b"OSNIDS1"
 SAMPLESET_VERSION = 1
@@ -236,8 +236,7 @@ _NODE_DTYPES = tuple(np.dtype(t) for t in ("<i4", "<f8", "<i4", "<i4", "<f8"))
 
 
 def _encode_array(arr: np.ndarray) -> bytes:
-    data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return struct.pack("<I", arr.size) + data
+    return struct.pack("<I", arr.size) + np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -275,22 +274,19 @@ def _encode_tree(tree: TreeNodes) -> bytes:
 
 
 def _decode_tree(r: _Reader) -> TreeNodes:
-    (n,) = r.take("<I")
-    if n == 0:
-        raise ManifestInvalid("tree declares no nodes")
-    return TreeNodes(*r.arrays(_NODE_DTYPES, n))
+    return TreeNodes(*r.arrays(_NODE_DTYPES, r.take("<I")[0]))
 
 
-def _check_trees(trees: list[TreeNodes], n_features: int) -> None:
-    """Every node is a leaf (feature -1) or splits on a feature in
-    [0, n_features) with both children after it in its own tree, so every
-    route ends at a leaf, and every threshold and value is finite. One
-    vectorized pass over the family's node table."""
-    table, bounds = node_table(trees)
+def _check_trees(family: TreeFamily, n_features: int) -> None:
+    """Every tree has a node, and every node is a leaf (feature -1) or splits
+    on a feature in [0, n_features) with both children after it in its own
+    tree, so every route ends at a leaf; every threshold and value is finite.
+    One vectorized pass over the family's stored node table."""
+    table, bounds = family.table, family.bounds
     i, end = np.arange(len(table)), np.repeat(bounds[1:], np.diff(bounds))  # end: one past i's tree
     f, left, right = table.feature, table.left, table.right
     split_ok = (f >= 0) & (f < n_features) & (left > i) & (left < end) & (right > i) & (right < end)
-    if not ((f == -1) | split_ok).all():
+    if not (((f == -1) | split_ok).all() and np.diff(bounds).all()):
         raise ManifestInvalid("tree node arrays do not form trees")
     _finite(table.threshold)
     _finite(table.value)
@@ -300,13 +296,12 @@ def _encode_meta_classifier(family: str, clf) -> bytes:
     tag = _META_TAGS[family]
     if family == "logistic":
         return struct.pack("<B", tag) + _encode_array(clf.coef)
+    trees = clf.trees
     if family == "random_forest":
-        body = struct.pack("<BI", tag, len(clf.trees))
+        head = struct.pack("<BI", tag, len(trees))
     else:  # boosted families share a layout; the tag gives the growth order
-        body = struct.pack("<BddI", tag, clf.base_score, clf.learning_rate, len(clf.trees))
-    for tree in clf.trees:
-        body += _encode_tree(tree)
-    return body
+        head = struct.pack("<BddI", tag, clf.base_score, clf.learning_rate, len(trees))
+    return head + b"".join(map(_encode_tree, trees))
 
 
 def _decode_meta_classifier(family: str, r: _Reader, n_features: int):
@@ -326,8 +321,8 @@ def _decode_meta_classifier(family: str, r: _Reader, n_features: int):
             clf = GradientBoostedTrees(growth="depthwise" if family == "boost_depthwise" else "leafwise")
             clf.base_score, clf.learning_rate, n_trees = r.take("<ddI")
             _finite(np.array([clf.base_score, clf.learning_rate]))
-        clf.trees = [_decode_tree(r) for _ in range(n_trees)]
-        _check_trees(clf.trees, n_features)
+        clf.store([_decode_tree(r) for _ in range(n_trees)])
+        _check_trees(clf, n_features)
     r.end()
     return clf
 
@@ -341,12 +336,7 @@ def _parameter_files(n_scorers: int, families: Sequence[str]) -> list[str]:
     return [f"base_{i:03d}.bin" for i in range(n_scorers)] + [f"meta_{family}.bin" for family in families]
 
 
-def save_bundle(
-    base: BaseEnsemble,
-    meta: Optional[MetaEnsemble],
-    path,
-    config_digest: Optional[str] = None,
-) -> None:
+def save_bundle(base: BaseEnsemble, meta: Optional[MetaEnsemble], path, config_digest: Optional[str] = None) -> None:
     """Write manifest + parameter files; `meta` may be None for a
     base-only bundle produced mid-pipeline."""
     root = Path(path)

@@ -1,18 +1,19 @@
 """Decision-tree building blocks for the meta-classifier families.
 
 All trees share one flat node-array representation (feature == -1 marks a
-leaf), and a family's trees join end to end into one node table that both
-prediction and the bundle loader's check read. One second-order split
-finder serves every family, on columns sorted once per tree fit (once per
-boosting fit), and two growers use it: depth-first to a fixed depth (the
-forest's Gini CARTs, as g = -y, h = 1, lambda = 0, and depthwise boosting)
-and best-first under a leaf cap (leafwise boosting).
+leaf). A family stores its trees only as one node table, built once at the
+end of a fit or in the bundle decoder; its `trees` is a read-only view. One
+second-order split finder serves every family, on columns sorted once per
+tree fit (once per boosting fit), and two growers use it: depth-first to a
+fixed depth (the forest's Gini CARTs, as g = -y, h = 1, lambda = 0, and
+depthwise boosting) and best-first under a leaf cap (leafwise boosting).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +49,8 @@ class _Builder:
         self.nodes[node] = [feature, threshold, left, right, 0.0]
 
     def finish(self) -> tuple[TreeNodes, np.ndarray]:
-        columns = zip(*self.nodes)
         dtypes = (np.int32, np.float64, np.int32, np.int32, np.float64)
-        return TreeNodes(*(np.array(c, dtype=t) for c, t in zip(columns, dtypes))), self.fitted
+        return TreeNodes(*map(np.array, zip(*self.nodes), dtypes)), self.fitted
 
 
 def node_table(trees: list[TreeNodes]) -> tuple[TreeNodes, np.ndarray]:
@@ -65,39 +65,60 @@ def node_table(trees: list[TreeNodes]) -> tuple[TreeNodes, np.ndarray]:
     return TreeNodes(feature, threshold, left + shift, right + shift, value), bounds
 
 
+class TreeFamily:
+    """What both tree families store, built once by `store` and never rebuilt:
+    one node table, its `bounds`, and each split feature's sorted `thresholds`."""
+
+    def store(self, trees: list[TreeNodes]):
+        """Keep the grown or decoded trees as the stored form; returns self."""
+        self.table, self.bounds = node_table(trees)
+        for column in vars(self.table).values():
+            column.flags.writeable = False  # the `trees` views share them
+        f, t = self.table.feature, self.table.threshold
+        order = np.argsort(f)[np.count_nonzero(f < 0) :]  # the split nodes, grouped by feature
+        features, starts = np.unique(f[order], return_index=True)
+        self.thresholds = {j: np.sort(s) for j, s in zip(features.tolist(), np.split(t[order], starts[1:]))}
+        return self
+
+    @property
+    def trees(self) -> list[TreeNodes]:
+        """One `TreeNodes` per tree, sliced from the table, child indices tree-local."""
+        t, shift = self.table, np.repeat(self.bounds[:-1], np.diff(self.bounds))
+        columns = [t.feature, t.threshold, *((c - shift).astype(np.int32) for c in (t.left, t.right)), t.value]
+        return [TreeNodes(*(c[a:b] for c in columns)) for a, b in itertools.pairwise(self.bounds.tolist())]
+
+
 # Distinct rows routed at a time. Each block is summed before the next
 # starts, so memory does not grow with the batch: on 200k distinct rows a
 # boosted family peaks at 27 MB, and at 1,161 MB routed as one block.
 ROW_BLOCK = 1024
 
 
-def _groups(table: TreeNodes, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _groups(thresholds: dict[int, np.ndarray], X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first row of each group of rows alike in every `x <= t` of the
-    table, and each row's group: a 1-D `np.unique` of keys that count, per
+    family, and each row's group: a 1-D `np.unique` of keys that count, per
     feature, the thresholds below the row's value (`axis=0` is far slower)."""
-    keys = np.empty(X.shape, dtype=np.min_scalar_type(len(table)))
-    for j in range(X.shape[1]):
-        keys[:, j] = np.searchsorted(np.sort(table.threshold[table.feature == j]), X[:, j])
+    keys = np.zeros(X.shape, dtype=np.min_scalar_type(max(map(len, thresholds.values()), default=0)))
+    for j, below in thresholds.items():
+        keys[:, j] = np.searchsorted(below, X[:, j])
     rows = keys.view(np.dtype((np.void, keys.itemsize * X.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    return first, inverse
+    return np.unique(rows, return_index=True, return_inverse=True)[1:]
 
 
-def predict_trees(trees: list[TreeNodes], X: np.ndarray, start: float, scale: float) -> np.ndarray:
+def predict_trees(family: TreeFamily, X: np.ndarray, start: float, scale: float) -> np.ndarray:
     """`start + scale * leaf value` for every row of X, added tree by tree in
     the trees' order as one `cumsum` over a start row stacked on the scaled
     (T, b) leaf values, so a row's sum does not depend on its batch. Only the
     first row of each of `_groups` is routed; each pass moves every (tree,
     row) pair still on a split node one level down."""
     X = np.asarray(X, dtype=np.float64)
-    table, bounds = node_table(trees)
-    first, inverse = _groups(table, X)
-    X, d = X[first], X.shape[1]
-    flat, out = X.ravel(), np.empty(len(X))
-    for lo in range(0, len(X), ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, len(X))
-        node = np.repeat(bounds[:-1], hi - lo)  # one (tree, row) pair per entry, tree-major
-        row = np.tile(np.arange(lo * d, hi * d, d), len(trees))  # each pair's row, as an offset into `flat`
+    table, roots = family.table, family.bounds[:-1]
+    first, inverse = _groups(family.thresholds, X)
+    flat, out, d = X[first].ravel(), np.empty(len(first)), X.shape[1]
+    for lo in range(0, len(first), ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, len(first))
+        node = np.repeat(roots, hi - lo)  # one (tree, row) pair per entry, tree-major
+        row = np.tile(np.arange(lo * d, hi * d, d), len(roots))  # each pair's row, as an offset into `flat`
         live = np.flatnonzero(table.feature[node] >= 0)
         while live.size:
             at = node[live]
@@ -105,7 +126,7 @@ def predict_trees(trees: list[TreeNodes], X: np.ndarray, start: float, scale: fl
             at = np.where(go_left, table.left[at], table.right[at])
             node[live] = at
             live = live[table.feature[at] >= 0]
-        leaves = table.value[node].reshape(len(trees), hi - lo)
+        leaves = table.value[node].reshape(len(roots), hi - lo)
         out[lo:hi] = np.cumsum(np.concatenate([np.full((1, hi - lo), start), scale * leaves]), axis=0)[-1]
     return out[inverse]
 
@@ -175,9 +196,7 @@ def build_tree(X, g, h, max_depth: int, reg_lambda: float, rng=None, max_feature
         _, f, thr = best
         node = builder.add()
         go_left = X[idx, f] <= thr
-        left = grow(idx[go_left], depth + 1)
-        right = grow(idx[~go_left], depth + 1)
-        builder.make_split(node, f, thr, left, right)
+        builder.make_split(node, f, thr, grow(idx[go_left], depth + 1), grow(idx[~go_left], depth + 1))
         return node
 
     grow(np.arange(X.shape[0]), 0)
@@ -187,22 +206,19 @@ def build_tree(X, g, h, max_depth: int, reg_lambda: float, rng=None, max_feature
 def build_boost_tree_leafwise(X, g, h, max_leaves: int, order=None):
     """Grow best-first: repeatedly split the leaf with the largest gain
     until the leaf cap. Returns and takes what `build_tree` does."""
-    features = range(X.shape[1])
     order = np.argsort(X.T, axis=1, kind="stable") if order is None else order
     builder = _Builder(X.shape[0])
     root = builder.add(_leaf_weight(g, h, BOOST_LAMBDA), np.arange(X.shape[0]))
 
     heap: list = []
-    counter = 0
+    counter = itertools.count()  # ties on gain pop in the order offered
 
     def offer(node: int, idx: np.ndarray) -> None:
-        nonlocal counter
         if idx.size < 2:
             return
-        best = _best_split(X, order, idx, g, h, BOOST_LAMBDA, features)
+        best = _best_split(X, order, idx, g, h, BOOST_LAMBDA, range(X.shape[1]))
         if best is not None:
-            heapq.heappush(heap, (-best[0], counter, node, idx, best[1], best[2]))
-            counter += 1
+            heapq.heappush(heap, (-best[0], next(counter), node, idx, best[1], best[2]))
 
     offer(root, np.arange(X.shape[0]))
     n_leaves = 1
@@ -223,33 +239,30 @@ def build_boost_tree_leafwise(X, g, h, max_leaves: int, order=None):
 
 
 @dataclass
-class RandomForest:
+class RandomForest(TreeFamily):
     """Bagged Gini CARTs with per-split feature subsampling."""
 
     n_trees: int = 100
     max_depth: int = 8
     seed: int = 0
-    trees: list[TreeNodes] = field(default_factory=list)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+        X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
         n, d = X.shape
         max_features = max(1, int(round(np.sqrt(d))))
         rng = np.random.default_rng(self.seed)
-        self.trees = []
+        trees = []
         for _ in range(self.n_trees):
             boot = rng.integers(0, n, size=n)
-            tree, _ = build_tree(X[boot], -y[boot], np.ones(n), self.max_depth, 0.0, rng, max_features)
-            self.trees.append(tree)
-        return self
+            trees.append(build_tree(X[boot], -y[boot], np.ones(n), self.max_depth, 0.0, rng, max_features)[0])
+        return self.store(trees)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return predict_trees(self.trees, X, 0.0, 1.0) / len(self.trees)
+        return predict_trees(self, X, 0.0, 1.0) / (len(self.bounds) - 1)
 
 
 @dataclass
-class GradientBoostedTrees:
+class GradientBoostedTrees(TreeFamily):
     """Boosted trees on the logistic loss with Newton leaf weights."""
 
     growth: str = "depthwise"  # or "leafwise"
@@ -258,28 +271,25 @@ class GradientBoostedTrees:
     max_depth: int = 3
     max_leaves: int = 15
     base_score: float = 0.0
-    trees: list[TreeNodes] = field(default_factory=list)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+        X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
         prior = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
         self.base_score = float(np.log(prior / (1.0 - prior)))
         F = np.full(X.shape[0], self.base_score)
         order = np.argsort(X.T, axis=1, kind="stable")  # X is fixed for the whole fit
-        self.trees = []
+        trees = []
         for _ in range(self.rounds):
             p = 1.0 / (1.0 + np.exp(-F))
-            g = p - y
-            h = np.maximum(p * (1.0 - p), 1e-12)
+            g, h = p - y, np.maximum(p * (1.0 - p), 1e-12)
             if self.growth == "depthwise":
                 tree, fitted = build_tree(X, g, h, self.max_depth, BOOST_LAMBDA, order=order)
             else:
                 tree, fitted = build_boost_tree_leafwise(X, g, h, self.max_leaves, order)
-            self.trees.append(tree)
+            trees.append(tree)
             F = F + self.learning_rate * fitted
-        return self
+        return self.store(trees)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        F = predict_trees(self.trees, X, self.base_score, self.learning_rate)  # F + lr * v, as the fit added them
+        F = predict_trees(self, X, self.base_score, self.learning_rate)  # F + lr * v, as the fit added them
         return 1.0 / (1.0 + np.exp(-F))

@@ -810,7 +810,7 @@ def boost_fit_oracle(model, X, y):
     prior = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
     model.base_score = float(np.log(prior / (1.0 - prior)))
     F = np.full(X.shape[0], model.base_score)
-    model.trees = []
+    grown = []
     for _ in range(model.rounds):
         p = 1.0 / (1.0 + np.exp(-F))
         g, h = p - y, np.maximum(p * (1.0 - p), 1e-12)
@@ -818,9 +818,9 @@ def boost_fit_oracle(model, X, y):
             tree, _ = trees.build_tree(X, g, h, model.max_depth, trees.BOOST_LAMBDA)
         else:
             tree, _ = trees.build_boost_tree_leafwise(X, g, h, model.max_leaves)
-        model.trees.append(tree)
+        grown.append(tree)
         F = F + model.learning_rate * predict_tree_oracle(tree, X)
-    return model
+    return model.store(grown)
 
 
 def verdict_csv_oracle(mf, verdicts) -> bytes:

@@ -85,6 +85,8 @@ class TestConfigSections:
         given = {"seed": 3} if section != "meta" else {}
         assert set(casts) | set(given) == {f.name for f in fields(cls)}
         section_cfg = {key: 300.0 if cast is int else 8 for key, cast in casts.items()}
+        if "holdout_fraction" in section_cfg:
+            section_cfg["holdout_fraction"] = 0  # still an int for a float field, and in [0, 1)
         built = settings({section: section_cfg}, section, cls, **given)
         expected = cls(**{key: cast(section_cfg[key]) for key, cast in casts.items()}, **given)
         assert built == expected
@@ -527,6 +529,30 @@ class TestExitCodes:
         assert (wd / "bundle" / "meta_random_forest.bin").read_bytes() == (
             workdir / "bundle" / "meta_random_forest.bin"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("boost_learning_rate", float("inf"), "boost_learning_rate must be finite and > 0, got inf"),
+            ("boost_learning_rate", 0.0, "boost_learning_rate must be finite and > 0, got 0.0"),
+            ("boost_learning_rate", -0.1, "boost_learning_rate must be finite and > 0, got -0.1"),
+            ("holdout_fraction", -1.0, "holdout_fraction must be in [0, 1), got -1.0"),
+            ("holdout_fraction", 1.0, "holdout_fraction must be in [0, 1), got 1.0"),
+        ],
+    )
+    def test_meta_value_out_of_range_is_range_error(self, finished_run, tmp_path, capsys, key, value, message):
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        cfg = json.loads(json.dumps({**cfg, "workdir": str(wd)}))
+        cfg["meta"][key] = value  # inf is written as JSON `Infinity`, which the config reader accepts
+        assert main(["train-meta", "--config", _write_config(tmp_path, cfg)]) == 3
+        assert message in capsys.readouterr().err
+        for family in META_FAMILIES:
+            name = f"meta_{family}.bin"
+            assert (wd / "bundle" / name).read_bytes() == (workdir / "bundle" / name).read_bytes()
 
     def test_missing_sample_set_is_io_error(self, tmp_path):
         cfg = _small_config(tmp_path / "wd")

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from osnids.errors import LengthMismatch, SingleClassLabels, UntrainedModel, WrongArity
+from osnids.errors import InvalidRange, LengthMismatch, SingleClassLabels, UntrainedModel, WrongArity
 from osnids.learners import TrainingConfig, meta_feature_matrix, train_base_ensemble
 from osnids.meta import (
     BENIGN,
@@ -136,6 +136,39 @@ class TestTrainMetaClassifiers:
         a = classifier_outputs(train_meta_classifiers(X, y, seed=9), probe)
         b = classifier_outputs(train_meta_classifiers(X, y, seed=9), probe)
         assert np.array_equal(a, b)
+
+
+class TestMetaConfigRanges:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("forest_trees", 0),
+            ("boost_learning_rate", float("inf")),
+            ("boost_learning_rate", float("nan")),
+            ("boost_learning_rate", 0.0),
+            ("boost_learning_rate", -0.5),
+            ("holdout_fraction", float("nan")),
+            ("holdout_fraction", -1.0),
+            ("holdout_fraction", -1e-9),
+            ("holdout_fraction", 1.0),
+        ],
+    )
+    def test_out_of_range_is_refused(self, field, value):
+        with pytest.raises(InvalidRange, match=field):
+            MetaConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("boost_learning_rate", 1e-12), ("boost_learning_rate", 5.0), ("holdout_fraction", 0.0),
+         ("holdout_fraction", 0.999)],
+    )
+    def test_edge_values_in_range_are_kept(self, field, value):
+        assert getattr(MetaConfig(**{field: value}), field) == value
+
+    def test_empty_holdout_records_no_accuracy(self):
+        X, y = _separable_meta_data(np.random.default_rng(6), n=60)
+        config = MetaConfig(forest_trees=3, boost_rounds=3, holdout_fraction=0.0)
+        assert train_meta_classifiers(X, y, config=config, seed=0).holdout_accuracy == {}
 
 
 def _mini_pipeline(rng):

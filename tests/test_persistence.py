@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osnids import persistence
+from osnids import persistence, trees
 from osnids.errors import (
     BadEncoding,
     BadMagic,
@@ -240,6 +240,36 @@ class TestBundleRoundTrip:
         assert [(v.decision, v.v, v.outputs) for v in v1] == [
             (v.decision, v.v, v.outputs) for v in v2
         ]
+
+    def test_resave_writes_the_same_bytes(self, tmp_path, trained_pair):
+        """The loaded families' `trees` views re-encode exactly the trees the
+        growers produced, so a loaded bundle saves to the same files."""
+        base, meta, _ = trained_pair
+        assert all(max(len(t) for t in clf.trees) > 1 for clf in meta.classifiers[1:])  # the trees did split
+        save_bundle(base, meta, tmp_path / "first")
+        save_bundle(*load_bundle(tmp_path / "first"), tmp_path / "second")
+        files = sorted(p.name for p in (tmp_path / "first").iterdir())
+        assert len([f for f in files if f.startswith("meta_")]) == 4
+        assert files == sorted(p.name for p in (tmp_path / "second").iterdir())
+        for name in files:
+            assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes(), name
+
+    def test_families_predict_from_their_stored_form(self, tmp_path, trained_pair, monkeypatch):
+        """After a fit and after a load, predicting builds no node table."""
+        base, meta, probe = trained_pair
+        save_bundle(base, meta, tmp_path / "b")
+        _, loaded = load_bundle(tmp_path / "b")
+        rows = np.concatenate([meta_feature_matrix(base, probe), np.random.default_rng(7).random((300, 2))])
+        families = [*meta.classifiers[1:], *loaded.classifiers[1:]]
+        expected = [(clf.predict_proba(rows[:1]), clf.predict_proba(rows)) for clf in families]
+
+        def no_table(grown):
+            raise AssertionError("node_table called after the family was stored")
+
+        monkeypatch.setattr(trees, "node_table", no_table)
+        for clf, (one, batch) in zip(families, expected):
+            assert clf.predict_proba(rows[:1]).tobytes() == one.tobytes()
+            assert clf.predict_proba(rows).tobytes() == batch.tobytes()
 
     def test_base_only_bundle(self, tmp_path, trained_pair):
         base, _, probe = trained_pair

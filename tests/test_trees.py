@@ -318,6 +318,31 @@ class TestRecordedLeafValues:
         assert sum(len(t) for t in new.trees) > 3 * len(new.trees)  # the trees did split
 
 
+class TestStoredForm:
+    """A family stores one node table; `trees` views it as the grown trees."""
+
+    def test_trees_view_holds_the_grown_arrays(self):
+        rng = np.random.default_rng(700)
+        X = _tied_matrix(rng, 200, 5)
+        g, h = rng.normal(0, 1, 200), rng.uniform(1e-3, 0.25, 200)
+        grown = [build_tree(X, g, h, 1 + k % 4, 1.0)[0] for k in range(6)] + [build_boost_tree_leafwise(X, g, h, 9)[0]]
+        model = GradientBoostedTrees().store(grown)
+        assert [len(t) for t in model.trees] == [len(t) for t in grown] and len(model.table) == sum(map(len, grown))
+        for view, tree in zip(model.trees, grown):
+            for name in ("feature", "threshold", "left", "right", "value"):
+                got, want = getattr(view, name), getattr(tree, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    def test_trees_is_read_only(self):
+        rng = np.random.default_rng(701)
+        X = rng.random((100, 3))
+        model = RandomForest(n_trees=3, max_depth=3).fit(X, (X[:, 0] > 0.5).astype(float))
+        with pytest.raises(AttributeError):
+            model.trees = []
+        with pytest.raises(ValueError):
+            model.trees[0].threshold[0] = 0.0  # the views share the stored table
+
+
 def _families(X, y):
     """One fitted model per tree family, each with its per-tree-loop oracle."""
     return [
@@ -409,7 +434,7 @@ class TestDistinctRowRouting:
             feats, thrs = _split_pairs(model)
             compared = X[:, feats] <= thrs
             seen = []
-            monkeypatch.setattr(trees, "_groups", lambda table, rows: seen.append(groups(table, rows)) or seen[-1])
+            monkeypatch.setattr(trees, "_groups", lambda thr, rows: seen.append(groups(thr, rows)) or seen[-1])
             got = model.predict_proba(X)
             [(first, group)] = seen
             m = len(first)
