@@ -27,7 +27,9 @@ from .errors import (
 from .samples import BENIGN_CLASS_ID
 
 _EPS = 1e-12
-# the standard exact t-SNE descent schedule
+# the standard exact t-SNE descent schedule, cut to 700 iterations by default
+# (`EmbeddingParams.iterations`): on the 700-row ingest-hard D1s of seeds 1-60 the
+# cluster selection reached its 1000-iteration result by iteration 625 at the latest
 EXAGGERATION_ITERS = 250
 MOMENTUM_EARLY, MOMENTUM_LATE, MOMENTUM_SWITCH_ITER = 0.5, 0.8, 250
 # bandwidth bisection: stop within this entropy of log(perplexity), or after this many steps
@@ -38,7 +40,7 @@ FLOAT32_MIN_ROWS = 128  # a smaller map keeps float64: its outcome hangs on the 
 @dataclass(frozen=True)
 class EmbeddingParams:
     perplexity: float = 30.0
-    iterations: int = 1000
+    iterations: int = 700
     early_exaggeration: float = 12.0
     learning_rate: float = 200.0
     seed: int = 0

@@ -46,6 +46,11 @@ class MetaConfig:
             raise InvalidRange(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # exp(-z) = inf for z << 0 gives the limit 1 / (1 + inf) = 0
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 class LogisticMetaClassifier:
     """Logistic regression fit by iteratively reweighted least squares."""
 
@@ -58,7 +63,7 @@ class LogisticMetaClassifier:
         reg = IRLS_L2 * np.eye(Xb.shape[1])
         reg[-1, -1] = 0.0
         for _ in range(IRLS_ITERATIONS):
-            p = 1.0 / (1.0 + np.exp(-(Xb @ w)))
+            p = _sigmoid(Xb @ w)
             r = np.maximum(p * (1.0 - p), 1e-9)
             H = (Xb * r[:, None]).T @ Xb + reg
             grad = Xb.T @ (p - y) + reg @ w
@@ -71,7 +76,7 @@ class LogisticMetaClassifier:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-        return 1.0 / (1.0 + np.exp(-(Xb @ self.coef)))
+        return _sigmoid(Xb @ self.coef)
 
 
 def _make_classifier(family: str, config: MetaConfig, seed: int):
@@ -137,6 +142,9 @@ def train_meta_classifiers(
     rng = np.random.default_rng(seed)
     order = rng.permutation(X.shape[0])
     n_train = int(round((1.0 - config.holdout_fraction) * X.shape[0]))
+    if config.holdout_fraction > 0 and not 0 < n_train < X.shape[0]:
+        side = "holdout" if n_train else "training"
+        raise InvalidRange(f"holdout_fraction {config.holdout_fraction} leaves no {side} row of {X.shape[0]} rows")
     train_idx, hold_idx = order[:n_train], order[n_train:]
 
     family_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(VOTE_ARITY)]

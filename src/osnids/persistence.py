@@ -313,14 +313,15 @@ def _decode_meta_classifier(family: str, r: _Reader, n_features: int):
         clf.coef = _decode_array(r, n_features + 1)
     else:
         if family == "random_forest":
-            clf = RandomForest()
             (n_trees,) = r.take("<I")
             if n_trees == 0:
                 raise ManifestInvalid("random forest has no trees")
-        else:
-            clf = GradientBoostedTrees(growth="depthwise" if family == "boost_depthwise" else "leafwise")
-            clf.base_score, clf.learning_rate, n_trees = r.take("<ddI")
-            _finite(np.array([clf.base_score, clf.learning_rate]))
+            clf = RandomForest(n_trees=n_trees)
+        else:  # boosting grows exactly `rounds` trees
+            base_score, learning_rate, n_trees = r.take("<ddI")
+            _finite(np.array([base_score, learning_rate]))
+            growth = "depthwise" if family == "boost_depthwise" else "leafwise"
+            clf = GradientBoostedTrees(growth, n_trees, learning_rate, base_score=base_score)
         clf.store([_decode_tree(r) for _ in range(n_trees)])
         _check_trees(clf, n_features)
     r.end()

@@ -538,6 +538,9 @@ class TestExitCodes:
             ("boost_learning_rate", -0.1, "boost_learning_rate must be finite and > 0, got -0.1"),
             ("holdout_fraction", -1.0, "holdout_fraction must be in [0, 1), got -1.0"),
             ("holdout_fraction", 1.0, "holdout_fraction must be in [0, 1), got 1.0"),
+            # in range, but D2's rows round to an empty side
+            ("holdout_fraction", 1e-9, "holdout_fraction 1e-09 leaves no holdout row of"),
+            ("holdout_fraction", 0.9999999, "holdout_fraction 0.9999999 leaves no training row of"),
         ],
     )
     def test_meta_value_out_of_range_is_range_error(self, finished_run, tmp_path, capsys, key, value, message):

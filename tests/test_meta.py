@@ -9,6 +9,7 @@ from osnids.meta import (
     BENIGN,
     META_FAMILIES,
     UNKNOWN_ATTACK,
+    LogisticMetaClassifier,
     MetaConfig,
     MetaEnsemble,
     Verdict,
@@ -169,6 +170,35 @@ class TestMetaConfigRanges:
         X, y = _separable_meta_data(np.random.default_rng(6), n=60)
         config = MetaConfig(forest_trees=3, boost_rounds=3, holdout_fraction=0.0)
         assert train_meta_classifiers(X, y, config=config, seed=0).holdout_accuracy == {}
+
+    @pytest.mark.parametrize("fraction, side", [(1e-4, "holdout"), (0.9999, "training")])
+    def test_fraction_that_empties_a_side_is_refused(self, fraction, side):
+        """In [0, 1), but 1,995 rows round to an empty holdout or training side."""
+        X = np.random.default_rng(7).random((1995, 7))
+        config = MetaConfig(forest_trees=3, boost_rounds=3, holdout_fraction=fraction)
+        with pytest.raises(InvalidRange, match=f"holdout_fraction {fraction} leaves no {side} row of 1995 rows"):
+            train_meta_classifiers(X, (X[:, 0] > 0.5).astype(np.float64), config=config, seed=0)
+
+    @pytest.mark.parametrize("fraction, probed", [(1 / 1995, META_FAMILIES), (1994 / 1995, ())])
+    def test_one_row_on_a_side_is_kept(self, fraction, probed):
+        """One holdout row is probed; one training row holds one class, so
+        it trains no probe, as before."""
+        X, y = _separable_meta_data(np.random.default_rng(8), n=1995, dim=3)
+        config = MetaConfig(forest_trees=1, boost_rounds=1, holdout_fraction=fraction)
+        assert tuple(train_meta_classifiers(X, y, config=config, seed=0).holdout_accuracy) == probed
+
+
+class TestLogisticMetaClassifier:
+    def test_separable_rows_fit_without_overflow(self):
+        """x0 > 0.5 separates these rows, so the weights grow until exp(-z)
+        overflows; the probabilities still reach their limits 0 and 1."""
+        X = np.random.default_rng(0).random((1995, 7))
+        y = (X[:, 0] > 0.5).astype(np.float64)
+        clf = LogisticMetaClassifier().fit(X, y)
+        assert np.all(np.isfinite(clf.coef))
+        p = clf.predict_proba(np.vstack([X, [[-50.0] + [0.5] * 6], [[50.0] + [0.5] * 6]]))
+        assert np.array_equal(p[:-2] >= 0.5, y == 1.0)
+        assert (p[-2], p[-1]) == (0.0, 1.0)
 
 
 def _mini_pipeline(rng):

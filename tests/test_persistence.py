@@ -254,6 +254,19 @@ class TestBundleRoundTrip:
         for name in files:
             assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes(), name
 
+    def test_loaded_families_report_their_size(self, tmp_path, trained_pair):
+        """A loaded family's tree count and boosting fields are the saved
+        family's, not the dataclass defaults."""
+        base, meta, _ = trained_pair
+        save_bundle(base, meta, tmp_path / "b")
+        _, loaded = load_bundle(tmp_path / "b")
+        forest, *boosted = loaded.classifiers[1:]
+        assert forest.n_trees == len(forest.trees) == meta.classifiers[1].n_trees == 10
+        for fitted, clf in zip(meta.classifiers[2:], boosted):
+            assert clf.rounds == len(clf.trees) == fitted.rounds == 10
+            assert (clf.growth, clf.learning_rate, clf.base_score) == (
+                fitted.growth, fitted.learning_rate, fitted.base_score)
+
     def test_families_predict_from_their_stored_form(self, tmp_path, trained_pair, monkeypatch):
         """After a fit and after a load, predicting builds no node table."""
         base, meta, probe = trained_pair
