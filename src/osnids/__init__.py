@@ -33,7 +33,6 @@ from .evaluation import (
     generate_synthetic,
     naive_baseline,
 )
-from .features import from_rgb_image, normalize, to_rgb_image
 from .learners import (
     BaseEnsemble,
     BinaryScorer,
@@ -51,7 +50,7 @@ from .meta import (
     train_meta_classifiers,
     vote,
 )
-from .persistence import load_bundle, load_sample_set, save_bundle, save_sample_set, write_ppm
+from .persistence import load_bundle, load_sample_set, save_bundle, save_sample_set
 from .samples import BENIGN_CLASS_ID, BENIGN_CLASS_NAME, RECORD_DTYPE, SampleSet, make_records
 from .splits import SplitResult, SplitSpec, build_splits, split_manifest
 

@@ -3,8 +3,9 @@
 The embedding is the exact O(n^2) algorithm (no tree approximation):
 per-point bandwidths from a bisection on the conditional entropy, symmetric
 joint affinities, Student-t low-dimensional kernel, and momentum gradient
-descent with per-coordinate gains. Cluster counts are chosen by the maximum
-silhouette over a k range, with the full SSE curve kept for elbow reading.
+descent with per-coordinate gains, in float32 at every map size, with the
+opt-SNE step size n / early_exaggeration (Belkina et al. 2019, Nat. Commun.
+10:5415). Cluster counts are chosen by the maximum silhouette over a k range.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from .samples import BENIGN_CLASS_ID
 
 _EPS = 1e-12
 # the standard exact t-SNE descent schedule, cut to 700 iterations by default
-# (`EmbeddingParams.iterations`): on the 700-row ingest-hard D1s of seeds 1-60 the
-# cluster selection reached its 1000-iteration result by iteration 625 at the latest
+# (`EmbeddingParams.iterations`): on the 700-row ingest-hard D1s the cluster
+# selection has settled on its 1000-iteration result well before (README)
 EXAGGERATION_ITERS = 250
 MOMENTUM_EARLY, MOMENTUM_LATE, MOMENTUM_SWITCH_ITER = 0.5, 0.8, 250
 # bandwidth bisection: stop within this entropy of log(perplexity), or after this many steps
 ENTROPY_TOL, BISECTION_STEPS = 1e-5, 50
-FLOAT32_MIN_ROWS = 128  # a smaller map keeps float64: its outcome hangs on the last bits
 
 
 @dataclass(frozen=True)
@@ -42,23 +42,20 @@ class EmbeddingParams:
     perplexity: float = 30.0
     iterations: int = 700
     early_exaggeration: float = 12.0
-    learning_rate: float = 200.0
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("perplexity", "early_exaggeration", "learning_rate"):
+        for name in ("perplexity", "early_exaggeration"):
             if not getattr(self, name) > 0:  # NaN too
                 raise InvalidRange(f"{name} must be > 0, got {getattr(self, name)}")
         if self.iterations < EXAGGERATION_ITERS:
             raise InvalidRange(f"iterations must be >= {EXAGGERATION_ITERS}, got {self.iterations}")
 
 
-def _squared_distances(X: np.ndarray, out=None, work=None) -> np.ndarray:
+def _squared_distances(X: np.ndarray) -> np.ndarray:
     sq = np.sum(X * X, axis=1)
-    work = np.matmul(X, X.T, out=work)
-    work *= 2.0
-    d2 = np.add(sq[:, None], sq[None, :], out=out)
-    d2 -= work
+    d2 = sq[:, None] + sq[None, :]
+    d2 -= 2.0 * (X @ X.T)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
@@ -107,25 +104,19 @@ def _conditional_affinities(d2: np.ndarray, perplexity: float) -> np.ndarray:
 
 def _kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
     mask = P > 0
-    p = P[mask].astype(np.float64)  # a float64 sum for either descent
+    p = P[mask].astype(np.float64)  # a float64 sum over the float32 descent's P and Q
     return float(np.sum(p * np.log(p / np.maximum(Q[mask].astype(np.float64), _EPS))))
 
 
 def _student_t(Y: np.ndarray, num: np.ndarray, Q: np.ndarray) -> None:
     """In place: num = 1 / (1 + |y_i - y_j|^2) off the diagonal, 0 on it; Q = num / num.sum().
-    A float64 map keeps the loop as first written; a float32 map forms 1 + |y_i - y_j|^2
-    in one product, [y, |y|^2, 1] @ [-2y, 1, 1 + |y|^2].T."""
-    if Y.dtype == np.float64:
-        _squared_distances(Y, out=num, work=Q)
-        num += 1.0
-        np.divide(1.0, num, out=num)
-    else:
-        sq = np.sum(Y * Y, axis=1)
-        one = np.ones_like(sq)
-        np.matmul(np.column_stack([Y, sq, one]), np.column_stack([-2.0 * Y, one, one + sq]).T, out=num)
-        diag = num.diagonal().copy()  # each column's value for a duplicate row: 1 + 0, up to rounding
-        np.maximum(num, diag, out=num)
-        np.divide(diag, num, out=num)  # so duplicates get exactly 1, whatever the BLAS kernel's rounding
+    1 + |y_i - y_j|^2 is formed in one product, [y, |y|^2, 1] @ [-2y, 1, 1 + |y|^2].T."""
+    sq = np.sum(Y * Y, axis=1)
+    one = np.ones_like(sq)
+    np.matmul(np.column_stack([Y, sq, one]), np.column_stack([-2.0 * Y, one, one + sq]).T, out=num)
+    diag = num.diagonal().copy()  # each column's value for a duplicate row: 1 + 0, up to rounding
+    np.maximum(num, diag, out=num)
+    np.divide(diag, num, out=num)  # so duplicates get exactly 1, whatever the BLAS kernel's rounding
     np.fill_diagonal(num, 0.0)
     np.divide(num, num.sum(), out=Q)
 
@@ -133,7 +124,8 @@ def _student_t(Y: np.ndarray, num: np.ndarray, Q: np.ndarray) -> None:
 def tsne_embed(X, params: EmbeddingParams, return_trace: bool = False):
     """Embed an (n, d) matrix into 2-D with exact t-SNE.
 
-    Affinities are float64, the descent float32 from FLOAT32_MIN_ROWS rows.
+    Affinities are float64, the descent float32 with step size
+    n / early_exaggeration (opt-SNE), which holds maps of every size steady.
     Deterministic for a fixed seed. `return_trace` adds the KL divergence
     every 50 iterations after the early-exaggeration phase.
     """
@@ -147,11 +139,11 @@ def tsne_embed(X, params: EmbeddingParams, return_trace: bool = False):
         raise PerplexityTooLarge(f"perplexity {params.perplexity} must be < number of points {n}")
 
     cond = _conditional_affinities(_squared_distances(X), params.perplexity)
-    dtype = np.float32 if n >= FLOAT32_MIN_ROWS else np.float64
-    P = ((cond + cond.T) / (2.0 * n)).astype(dtype)
+    P = ((cond + cond.T) / (2.0 * n)).astype(np.float32)
 
-    Y = (np.random.default_rng(params.seed).standard_normal((n, 2)) * 1e-4).astype(dtype)
+    Y = (np.random.default_rng(params.seed).standard_normal((n, 2)) * 1e-4).astype(np.float32)
     velocity, gains = np.zeros_like(Y), np.ones_like(Y)
+    learning_rate = n / params.early_exaggeration
 
     P_exaggerated = P * params.early_exaggeration
     num, work = np.empty_like(P), np.empty_like(P)  # the loop allocates no n x n array
@@ -170,7 +162,7 @@ def tsne_embed(X, params: EmbeddingParams, return_trace: bool = False):
         gains[inc] += 0.2
         gains[~inc] *= 0.8
         np.clip(gains, 0.01, None, out=gains)
-        velocity = momentum * velocity - params.learning_rate * (gains * grad)
+        velocity = momentum * velocity - learning_rate * (gains * grad)
         Y += velocity
         Y -= Y.mean(axis=0)
 
@@ -308,9 +300,6 @@ class ClusteringReport:
     selected_n: int
     centroids: np.ndarray
     assignments: np.ndarray
-
-    def sse_curve(self) -> list[float]:
-        return [row[1] for row in self.per_k]
 
 
 def select_cluster_count(

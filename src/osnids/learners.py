@@ -53,6 +53,7 @@ _SHAPES = {
 _ORDER = ("W1", "b1", "W2", "b2", "Wd", "bd")
 CONVNET_N_PARAMS = sum(int(np.prod(s)) for s in _SHAPES.values())
 SCORE_BLOCK = 256  # rows a scoring pass; 333-row blocks lost BLAS row alignment and changed last bits
+MIN_SIDE_ROWS = 10  # a scorer needs this many rows in its cluster and in the rest of benign
 
 
 @dataclass(frozen=True)
@@ -321,6 +322,14 @@ def train_scorer(
     )
 
 
+def require_trainable(cluster: np.ndarray, n: int) -> None:
+    """Refuse cluster ids 0..n-1 that leave some scorer fewer than MIN_SIDE_ROWS rows on a side."""
+    rows = len(cluster)
+    for i, count in enumerate(np.bincount(cluster, minlength=n).tolist()):
+        if min(count, rows - count) < MIN_SIDE_ROWS:
+            raise DegenerateClasses(f"cluster {i}: {count} of {rows} rows; need >= {MIN_SIDE_ROWS} on each side")
+
+
 def train_base_ensemble(
     d1: np.recarray,
     n: int,
@@ -332,16 +341,12 @@ def train_base_ensemble(
     present = np.unique(d1.cluster)
     if not np.array_equal(present, np.arange(n)):
         raise MissingCluster(f"cluster ids {present.tolist()} do not cover 0..{n - 1}")
+    require_trainable(d1.cluster, n)
 
     base = config or TrainingConfig()
     seeds = np.random.SeedSequence(base.seed).generate_state(n)
     tensors = sample_tensors(d1)
     ys = [(d1.cluster == i).astype(np.float64) for i in range(n)]
-    for i in range(n):
-        n_pos = int(ys[i].sum())
-        if n_pos < 10 or len(d1) - n_pos < 10:
-            raise DegenerateClasses(f"cluster {i}: need >= 10 samples on each side")
-
     scorers = [train_scorer(tensors, ys[i], kind, replace(base, seed=int(seeds[i]))) for i in range(n)]
     return BaseEnsemble(scorers=scorers, n_clusters=n)
 

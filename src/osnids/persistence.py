@@ -30,7 +30,6 @@ from .errors import (
     IoFailure,
     ManifestInvalid,
     VersionUnsupported,
-    WrongLength,
 )
 from .features import IMAGE_SHAPE
 from .learners import BaseEnsemble, BinaryScorer, CONVNET, CONVNET_N_PARAMS, LOGISTIC, LOGISTIC_N_PARAMS
@@ -118,15 +117,6 @@ def write_verdict_csv(path, mf: np.ndarray, verdicts: Verdicts) -> None:
             yield ("\r\n".join(rows) + "\r\n").encode("utf-8")
 
     write_atomic(path, chunks())
-
-
-def write_ppm(image: np.ndarray, path) -> None:
-    """Debug export of a feature image as a binary portable pixmap (P6, 25x20, maxval 255)."""
-    img = np.asarray(image)
-    if img.shape != IMAGE_SHAPE:
-        raise WrongLength(f"expected image of shape {IMAGE_SHAPE}, got {img.shape}")
-    header = f"P6\n{IMAGE_SHAPE[1]} {IMAGE_SHAPE[0]}\n255\n".encode("ascii")
-    write_atomic(path, [header, img.astype(np.uint8).tobytes()])
 
 
 # --- the one reader of the binary formats ---

@@ -130,6 +130,7 @@ def stage_cluster(cfg: dict) -> clustering.ClusteringReport:
     d1 = persistence.load_sample_set(wd / D1)
     embedding = clustering.tsne_embed(d1.samples.features.astype(np.float64) / 255.0, params)
     report = clustering.select_cluster_count(embedding, **sweep, seed=_seed(cfg))
+    learners.require_trainable(report.assignments, report.selected_n)  # before any artifact is written
     annotated = clustering.annotate_clusters(d1.samples, report.assignments)
     persistence.save_sample_set(SampleSet(class_names=d1.class_names, samples=annotated), wd / D1_CLUSTERED)
     per_k = [(k, repr(sse), repr(sil)) for k, sse, sil in report.per_k]
@@ -169,6 +170,9 @@ def stage_train_meta(cfg: dict) -> meta.MetaEnsemble:
     features = learners.meta_feature_matrix(base, d2.samples)
     labels = (d2.samples.label != BENIGN_CLASS_ID).astype(np.float64)
     ensemble = meta.train_meta_classifiers(features, labels, config=config, seed=_seed(cfg))
+    if config.holdout_fraction > 0 and not ensemble.holdout_accuracy:
+        log.warning("train-meta: holdout_fraction %s leaves one class on the training side; no probe ran",
+                    config.holdout_fraction)
     persistence.save_bundle(base, ensemble, wd / BUNDLE_DIR, config_digest=_config_digest(cfg))
     log.info("train-meta: holdout accuracy %s", ensemble.holdout_accuracy)
     return ensemble

@@ -77,7 +77,3 @@ class SampleSet:
 
     def name_of(self, label: int) -> str:
         return self.class_names[label]
-
-    def class_counts(self) -> dict[str, int]:
-        counts = np.bincount(self.samples.label, minlength=len(self.class_names))
-        return {name: int(c) for name, c in zip(self.class_names, counts) if c}

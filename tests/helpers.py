@@ -216,8 +216,9 @@ def split_oracle(X, g, h, reg_lambda, feature_ids):
 def tsne_oracle(X, params, dtype=np.float64):
     """Exact t-SNE with fresh n x n temporaries every iteration and the KL
     trace always computed. The affinities are float64; the joint P and the
-    descent are in `dtype` and KL sums in float64. float64 is the loop as
-    first written; float32 forms 1 + |y_i - y_j|^2 from the one product
+    descent are in `dtype`, with step size n / early_exaggeration, and KL
+    sums in float64. float64 is the loop as first written, the reference
+    for the float32 one; float32 forms 1 + |y_i - y_j|^2 from the one product
     [y, |y|^2, 1] @ [-2y, 1, 1 + |y|^2].T and divides each column into its
     own diagonal. Only the perplexity bisection comes from `clustering`.
     Returns (Y, kl_trace), Y in `dtype`."""
@@ -267,7 +268,7 @@ def tsne_oracle(X, params, dtype=np.float64):
         gains[inc] += 0.2
         gains[~inc] *= 0.8
         np.clip(gains, 0.01, None, out=gains)
-        velocity = momentum * velocity - params.learning_rate * (gains * grad)
+        velocity = momentum * velocity - n / params.early_exaggeration * (gains * grad)
         Y += velocity
         Y -= Y.mean(axis=0)
         if not exaggerating and (it + 1 - clustering.EXAGGERATION_ITERS) % 50 == 0:
@@ -763,6 +764,17 @@ def pool_backward_oracle(dout, idx, x_shape):
         dwin.reshape(B, Hp, Wp, 2, 2, C).transpose(0, 1, 3, 2, 4, 5).reshape(B, Hp * 2, Wp * 2, C)
     )
     return dx
+
+
+def image_tensor_oracle(features) -> np.ndarray:
+    """One 1500-byte payload as the paper's 20 x 25 RGB image scaled into [0, 1],
+    by the index formula itself: channel (r, c, k) holds features[3 * (25 * r + c) + k] / 255."""
+    image = np.empty((20, 25, 3))
+    for r in range(20):
+        for c in range(25):
+            for k in range(3):
+                image[r, c, k] = float(features[3 * (25 * r + c) + k]) / 255.0
+    return image
 
 
 def meta_feature_oracle(ensemble, samples):

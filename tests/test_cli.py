@@ -69,7 +69,7 @@ class TestConfigInit:
 _FIELD_CASTS = {
     "synth": {"n_benign_clusters": int, "n_known_attack_classes": int, "n_unknown_attack_classes": int,
               "samples_per_class": int, "noise_sigma": float, "min_hamming_separation": int},
-    "cluster": {"perplexity": float, "iterations": int, "early_exaggeration": float, "learning_rate": float},
+    "cluster": {"perplexity": float, "iterations": int, "early_exaggeration": float},
     "learners": {"epochs": int, "batch_size": int, "learning_rate": float, "l2": float},
     "meta": {"forest_trees": int, "forest_depth": int, "boost_rounds": int, "boost_learning_rate": float,
              "boost_depth": int, "boost_leaves": int, "holdout_fraction": float},
@@ -112,7 +112,7 @@ class TestConfigSections:
             ("learners", "epochs", 2.9),  # int() would truncate it to 2
             ("learners", "batch_size", True),  # int() would read it as 1
             ("meta", "forest_trees", "100"),
-            ("cluster", "learning_rate", False),  # a bool for a float field
+            ("cluster", "early_exaggeration", False),  # a bool for a float field
             ("cluster", "perplexity", float("nan")),
             ("synth", "samples_per_class", float("inf")),
             ("meta", "holdout_fraction", None),
@@ -176,6 +176,20 @@ class TestConfigSections:
         assert main(["evaluate", "--config", _write_config(tmp_path, cfg)]) == 0
         assert (wd / "baseline_report.json").read_bytes() == (workdir / "baseline_report.json").read_bytes()
 
+    def test_leftover_learning_rate_is_ignored(self, finished_run, tmp_path):
+        """The t-SNE step size is n / early_exaggeration; a `cluster.learning_rate`
+        left in an older config changes nothing the stage writes."""
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        wd.mkdir()
+        shutil.copy(workdir / "d1.sset", wd)
+        cfg = {**cfg, "workdir": str(wd), "cluster": {**cfg["cluster"], "learning_rate": 1.0}}
+        assert main(["cluster", "--config", _write_config(tmp_path, cfg)]) == 0
+        for name in ("d1_clustered.sset", "clustering.json"):
+            assert (wd / name).read_bytes() == (workdir / name).read_bytes()
+
     def test_utf8_config_loads_under_c_locale(self, finished_run, tmp_path):
         import shutil
 
@@ -190,6 +204,33 @@ class TestConfigSections:
         proc = _run_cli_child(["split", "--config", str(path)], PYTHONUTF8="0", LC_ALL="C")
         assert proc.returncode == 0, proc.stderr
         assert (wd / "d3.sset").read_bytes() == (workdir / "d3.sset").read_bytes()
+
+
+class TestTrainMetaProbe:
+    @pytest.mark.parametrize("training_rows", ["one", "all_but_one"])
+    def test_single_class_training_side_is_reported(self, finished_run, tmp_path, caplog, training_rows):
+        """A holdout_fraction of (n - 1) / n leaves one training row, so one class
+        and no probe: train-meta still trains and says so, naming the fraction.
+        With 1 / n the probe runs and nothing is said."""
+        import logging
+        import shutil
+
+        from osnids.persistence import load_sample_set
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        n = len(load_sample_set(wd / "d2.sset"))
+        fraction = (n - 1) / n if training_rows == "one" else 1 / n
+        cfg = {**cfg, "workdir": str(wd), "meta": {**cfg["meta"], "holdout_fraction": fraction}}
+        with caplog.at_level(logging.WARNING, logger="osnids"):
+            assert main(["train-meta", "--config", _write_config(tmp_path, cfg)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        if training_rows == "one":
+            assert warnings == [f"train-meta: holdout_fraction {fraction} leaves one class on the training side; "
+                                "no probe ran"]
+        else:
+            assert warnings == []
 
 
 class TestRun:
@@ -662,7 +703,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("learning_rate", 0.0), ("learning_rate", -200.0), ("early_exaggeration", 0.0), ("early_exaggeration", -12.0)],
+        [("early_exaggeration", 0.0), ("early_exaggeration", -12.0)],
     )
     def test_cluster_refuses_non_positive_step_size(self, finished_run, tmp_path, capsys, key, value):
         import shutil
@@ -676,6 +717,23 @@ class TestExitCodes:
         assert main(["cluster", "--config", _write_config(tmp_path, cfg)]) == 3
         assert f"{key} must be > 0" in capsys.readouterr().err
         assert not (wd / "clustering.json").exists() and not (wd / "d1_clustered.sset").exists()
+        assert sorted(p.name for p in wd.iterdir()) == ["d1.sset"]
+
+    def test_cluster_refuses_partition_train_base_cannot_train(self, tmp_path, capsys):
+        """Two 40-row payload groups and one of 8 rows: the sweep selects N = 3,
+        whose 8-row cluster is below the scorers' 10-row minimum, so `cluster`
+        exits 3 naming it, before it writes any artifact."""
+        from osnids.persistence import save_sample_set
+        from osnids.samples import SampleSet, make_records
+
+        rng = np.random.default_rng(31)
+        templates = rng.integers(0, 256, (3, 1500))
+        groups = [np.clip(t + rng.integers(-4, 5, (m, 1500)), 1, 255) for t, m in zip(templates, (40, 40, 8))]
+        wd = tmp_path / "wd"
+        wd.mkdir()
+        save_sample_set(SampleSet(class_names=["benign"], samples=make_records(np.vstack(groups), 0)), wd / "d1.sset")
+        assert main(["cluster", "--config", _write_config(tmp_path, _small_config(wd))]) == 3
+        assert "cluster 2: 8 of 88 rows; need >= 10 on each side" in capsys.readouterr().err
         assert sorted(p.name for p in wd.iterdir()) == ["d1.sset"]
 
     def test_train_base_does_not_read_clustering_json(self, finished_run, tmp_path):

@@ -160,7 +160,7 @@ class TestSelectClusterCount:
         rng = np.random.default_rng(2)
         P = rng.uniform(0, 10, (80, 2))
         report = select_cluster_count(P, 2, 12, restarts=10, seed=2)
-        curve = report.sse_curve()
+        curve = [sse for _, sse, _ in report.per_k]
         assert all(curve[i + 1] <= curve[i] + 1e-9 for i in range(len(curve) - 1))
 
     def test_clusters_numbered_by_first_appearance(self):
@@ -265,9 +265,10 @@ class TestTsne:
         with pytest.raises(NonFiniteInput):
             tsne_embed(X, EmbeddingParams(perplexity=2, iterations=300, seed=0))
 
-    def test_duplicate_pairs_stay_together(self):
+    @pytest.mark.parametrize("seed", range(20))
+    def test_duplicate_pairs_stay_together(self, seed):
         X = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [5.0, 5.0]])
-        Y = tsne_embed(X, EmbeddingParams(perplexity=1.5, iterations=500, seed=3))
+        Y = tsne_embed(X, EmbeddingParams(perplexity=1.5, iterations=500, seed=seed))
         intra = (np.linalg.norm(Y[0] - Y[1]) + np.linalg.norm(Y[2] - Y[3])) / 2
         cross = np.mean(
             [np.linalg.norm(Y[i] - Y[j]) for i in (0, 1) for j in (2, 3)]
@@ -297,8 +298,7 @@ class TestTsne:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("learning_rate", 0.0), ("learning_rate", -200.0), ("learning_rate", np.nan), ("early_exaggeration", 0.0),
-         ("early_exaggeration", np.nan), ("perplexity", np.nan)],
+        [("early_exaggeration", 0.0), ("early_exaggeration", np.nan), ("perplexity", np.nan)],
     )
     def test_settings_must_be_positive(self, field, value):
         with pytest.raises(InvalidRange, match=field):
@@ -341,7 +341,6 @@ class TestTsneAgainstOracle:
     def test_embedding_and_trace_equal_oracle(self, seed):
         rng = np.random.default_rng(seed)
         X = np.vstack([c + rng.normal(0, 0.3, (40, 6)) for c in rng.normal(0, 3, (4, 6))])
-        assert X.shape[0] >= clustering.FLOAT32_MIN_ROWS  # the float32 descent
         params = EmbeddingParams(perplexity=15.0, iterations=300, seed=seed)
         Y, trace = tsne_embed(X, params, return_trace=True)
         Y_oracle, trace_oracle = tsne_oracle(X, params, dtype=np.float32)
@@ -349,18 +348,6 @@ class TestTsneAgainstOracle:
         assert Y.tobytes() == Y_oracle.astype(np.float64).tobytes()
         assert np.array(trace).tobytes() == np.array(trace_oracle).tobytes() and len(trace) == 1
         assert tsne_embed(X, params).tobytes() == Y.tobytes()
-
-    def test_small_map_keeps_float64_loop(self):
-        """Below FLOAT32_MIN_ROWS the descent is the float64 loop as first
-        written, bit for bit."""
-        rng = np.random.default_rng(3)
-        n = clustering.FLOAT32_MIN_ROWS - 1
-        X = np.vstack([rng.normal(0, 0.3, (n // 2, 6)), rng.normal(3, 0.3, (n - n // 2, 6))])
-        params = EmbeddingParams(perplexity=15.0, iterations=300, seed=3)
-        Y, trace = tsne_embed(X, params, return_trace=True)
-        Y_oracle, trace_oracle = tsne_oracle(X, params, dtype=np.float64)
-        assert Y.tobytes() == Y_oracle.tobytes()
-        assert np.array(trace).tobytes() == np.array(trace_oracle).tobytes()
 
 
 class TestFloat32Partition:

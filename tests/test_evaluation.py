@@ -66,7 +66,8 @@ class TestGenerateSynthetic:
     def test_counts(self):
         cfg = SyntheticConfig(samples_per_class=10, seed=1)
         corpus = generate_synthetic(cfg)
-        counts = corpus.sample_set.class_counts()
+        labels = np.bincount(corpus.sample_set.samples.label, minlength=len(corpus.sample_set.class_names))
+        counts = dict(zip(corpus.sample_set.class_names, labels.tolist()))
         assert counts["benign"] == 7 * 10
         assert sum(v for k, v in counts.items() if k.startswith("known_attack")) == 9 * 10
         assert sum(v for k, v in counts.items() if k.startswith("unknown_attack")) == 5 * 10

@@ -6,7 +6,6 @@ from osnids.errors import (
     MissingCluster,
     UntrainedEnsemble,
 )
-from osnids.features import normalize, to_rgb_image
 from osnids.learners import (
     CONVNET,
     CONVNET_N_PARAMS,
@@ -33,6 +32,7 @@ from osnids.samples import make_records
 from helpers import (
     LOSS_AND_GRAD_ORACLES,
     gradient_check,
+    image_tensor_oracle,
     meta_feature_oracle,
     pool_backward_oracle,
     pool_forward_oracle,
@@ -74,7 +74,7 @@ class TestGradients:
 class TestSampleTensors:
     def test_matches_per_sample_image_normalization(self):
         rows = _random_records(np.random.default_rng(20), 30)
-        expected = np.stack([normalize(to_rgb_image(s.features)) for s in rows])
+        expected = np.stack([image_tensor_oracle(s.features) for s in rows])
         assert sample_tensors(rows).tobytes() == expected.tobytes()
 
 
