@@ -2,16 +2,17 @@
 
 Usage, from the repository root:
 
-    python3 scripts/quality_gate.py --parent HEAD
+    python3 scripts/quality_gate.py --parent HEAD [--seed N ...]
 
 Both sides run from fresh copies in a temporary directory, made as
-`bench_pairs.py` makes them, with one BLAS thread. For each seed of SEEDS,
-each side runs in its own process, through its own CLI: perfbench's
-ingest-hard inputs, the six stages, then `predict` on D3, and perfbench's
-checks of that round. One line per seed gives, for each side, the selected
-cluster count N, `detect_rate` and `benign_rate` (the evaluation report's
-sensitivity and specificity) and whether perfbench's checks passed, then the
-adjusted Rand index of the change's D1 partition against the parent's.
+`bench_pairs.py` makes them, with one BLAS thread. For each seed (SEEDS,
+unless a repeatable `--seed` names others), each side runs in its own
+process, through its own CLI: perfbench's ingest-hard inputs, the six
+stages, then `predict` on D3, and perfbench's checks of that round. One line
+per seed gives, for each side, the selected cluster count N, `detect_rate`
+and `benign_rate` (the evaluation report's sensitivity and specificity) and
+whether perfbench's checks passed, then the adjusted Rand index of the
+change's D1 partition against the parent's.
 
 The exit code is 1 when, on any seed, N differs from the parent's, the ARI
 is below MIN_ARI, `benign_rate` falls, or either side fails a check or a
@@ -40,7 +41,7 @@ from bench_pairs import export_revision, export_worktree  # noqa: E402
 
 SEEDS = tuple(range(1, 9))
 MIN_ARI = 0.99
-DETECT_MARGIN = 0.01  # largest allowed fall of the mean detect_rate over SEEDS
+DETECT_MARGIN = 0.01  # largest allowed fall of the mean detect_rate over the seeds run
 RESULT = "gate.json"
 ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -111,24 +112,32 @@ def _figures(r: dict) -> str:
     return f"N={r.get('selected_n')} {rates} correct={r['correct']}"
 
 
-def main() -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", help="git revision the working tree is compared with")
+    parser.add_argument("--seed", type=int, action="append", dest="seeds",
+                        help=f"an ingest-hard seed to run, repeatable (default: {SEEDS[0]}-{SEEDS[-1]})")
     parser.add_argument("--tmp", default=None, help="directory for the exported trees and the runs")
     parser.add_argument("--run", nargs=2, metavar=("SEED", "ROOT"), help=argparse.SUPPRESS)  # one side's run
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    args.seeds = tuple(args.seeds or SEEDS)
+    if not (args.run or args.parent):
+        parser.error("--parent is required")
+    return args
+
+
+def main() -> int:
+    args = parse_args()
     if args.run:
         run_in_checkout(int(args.run[0]), Path(args.run[1]))
         return 0
-    if not args.parent:
-        parser.error("--parent is required")
 
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"} | ONE_BLAS_THREAD
     failed, detect = False, {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(dir=args.tmp) as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         print(f"parent {export_revision(args.parent, trees['parent'])}, change {export_worktree(trees['change'])}")
-        for seed in SEEDS:
+        for seed in args.seeds:
             results = {}
             for side, tree in trees.items():
                 root = tree / "runs" / f"seed{seed}"

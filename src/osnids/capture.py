@@ -341,6 +341,15 @@ def _parse_number(value: str, kind: type, column: str):
         raise ValueOutOfRange(f"flow CSV {column} {value!r} is not a number") from exc
 
 
+def _parse_ip(value: str, column: str, line: int) -> str:
+    """A canonical dotted quad, the only spelling a captured packet's address can match."""
+    ip = value.strip()
+    parts = ip.split(".")
+    if len(parts) != 4 or not all(p.isascii() and p.isdigit() and str(int(p)) == p and int(p) < 256 for p in parts):
+        raise ValueOutOfRange(f"flow CSV line {line}: {column} {value!r} is not a canonical dotted quad")
+    return ip
+
+
 def _parse_time(value: str) -> float:
     try:
         return float(value)
@@ -392,9 +401,9 @@ def read_flow_csv(path, column_map: dict[str, str]) -> list[FlowRecord]:
                 f = {c: row[column_map[c]] for c in FLOW_COLUMNS}
                 flows.append(
                     FlowRecord(
-                        src_ip=f["src_ip"].strip(),
+                        src_ip=_parse_ip(f["src_ip"], "src_ip", reader.line_num),
                         src_port=_parse_number(f["src_port"], int, "src_port"),
-                        dst_ip=f["dst_ip"].strip(),
+                        dst_ip=_parse_ip(f["dst_ip"], "dst_ip", reader.line_num),
                         dst_port=_parse_number(f["dst_port"], int, "dst_port"),
                         protocol=_parse_protocol(f["protocol"]),
                         start_time=_parse_time(f["start_time"]),

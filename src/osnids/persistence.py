@@ -81,6 +81,14 @@ def write_csv(path, rows: Iterable[Sequence]) -> None:
     write_atomic(path, chunks())
 
 
+def remove(path) -> None:
+    """Unlink `path` if it exists; `OSError` becomes `IoFailure`."""
+    try:
+        Path(path).unlink(missing_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot remove {path}: {exc}") from exc
+
+
 def _read_bytes(path) -> bytes:
     try:
         with open(path, "rb") as fh:

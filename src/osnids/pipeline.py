@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ EVAL_REPORT = "eval_report.json"
 EVAL_REPORT_CSV = "eval_report.csv"
 BASELINE_REPORT = "baseline_report.json"
 VERDICTS = "verdicts.csv"
+SWEEP_KEYS = ("k_min", "k_max", "restarts")  # the k-means sweep's `cluster` keys
 
 
 def workdir_of(cfg: dict) -> Path:
@@ -48,12 +50,16 @@ def _seed(cfg: dict) -> int:
 
 
 def _config_digest(cfg: dict) -> str:
-    """Digest of everything that shapes the trained models."""
+    """Digest of the settings that shape the trained models, as the stages
+    decode them: a key no stage reads does not change it."""
+    seed = _seed(cfg)
     relevant = {
-        "seed": require(cfg, "seed"),
-        "learners": require(cfg, "learners"),
-        "meta": require(cfg, "meta"),
-        "cluster": require(cfg, "cluster"),
+        "seed": seed,
+        "cluster": asdict(settings(cfg, "cluster", clustering.EmbeddingParams, seed=seed)),
+        "sweep": {key: setting(cfg, f"cluster.{key}", int) for key in SWEEP_KEYS},
+        "learners.kind": require(cfg, "learners.kind"),
+        "learners": asdict(settings(cfg, "learners", learners.TrainingConfig, seed=seed)),
+        "meta": asdict(settings(cfg, "meta", meta.MetaConfig)),
     }
     blob = json.dumps(relevant, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
@@ -125,8 +131,10 @@ def stage_split(cfg: dict) -> splits.SplitResult:
 
 def stage_cluster(cfg: dict) -> clustering.ClusteringReport:
     wd = workdir_of(cfg)
+    for stale in (D1_CLUSTERED, CLUSTER_CSV, CLUSTER_JSON):  # a refused run leaves no partition behind
+        persistence.remove(wd / stale)
     params = settings(cfg, "cluster", clustering.EmbeddingParams, seed=_seed(cfg))
-    sweep = {key: setting(cfg, f"cluster.{key}", int) for key in ("k_min", "k_max", "restarts")}
+    sweep = {key: setting(cfg, f"cluster.{key}", int) for key in SWEEP_KEYS}
     d1 = persistence.load_sample_set(wd / D1)
     embedding = clustering.tsne_embed(d1.samples.features.astype(np.float64) / 255.0, params)
     report = clustering.select_cluster_count(embedding, **sweep, seed=_seed(cfg))
@@ -146,12 +154,13 @@ def stage_cluster(cfg: dict) -> clustering.ClusteringReport:
 
 def stage_train_base(cfg: dict) -> learners.BaseEnsemble:
     wd = workdir_of(cfg)
+    digest = _config_digest(cfg)  # decodes every section it covers before anything trains
     kind = require(cfg, "learners.kind")
     config = settings(cfg, "learners", learners.TrainingConfig, seed=_seed(cfg))
     d1 = persistence.load_sample_set(wd / D1_CLUSTERED)
     n = len(np.unique(d1.samples.cluster))  # train_base_ensemble refuses ids that are not 0..n-1
     ensemble = learners.train_base_ensemble(d1.samples, n, config=config, kind=kind)
-    persistence.save_bundle(ensemble, None, wd / BUNDLE_DIR, config_digest=_config_digest(cfg))
+    persistence.save_bundle(ensemble, None, wd / BUNDLE_DIR, config_digest=digest)
     curves = [
         (i, epoch, repr(loss))
         for i, scorer in enumerate(ensemble.scorers)
@@ -164,6 +173,7 @@ def stage_train_base(cfg: dict) -> learners.BaseEnsemble:
 
 def stage_train_meta(cfg: dict) -> meta.MetaEnsemble:
     wd = workdir_of(cfg)
+    digest = _config_digest(cfg)
     config = settings(cfg, "meta", meta.MetaConfig)
     base, _ = persistence.load_bundle(wd / BUNDLE_DIR)
     d2 = persistence.load_sample_set(wd / D2)
@@ -173,7 +183,7 @@ def stage_train_meta(cfg: dict) -> meta.MetaEnsemble:
     if config.holdout_fraction > 0 and not ensemble.holdout_accuracy:
         log.warning("train-meta: holdout_fraction %s leaves one class on the training side; no probe ran",
                     config.holdout_fraction)
-    persistence.save_bundle(base, ensemble, wd / BUNDLE_DIR, config_digest=_config_digest(cfg))
+    persistence.save_bundle(base, ensemble, wd / BUNDLE_DIR, config_digest=digest)
     log.info("train-meta: holdout accuracy %s", ensemble.holdout_accuracy)
     return ensemble
 

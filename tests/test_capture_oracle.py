@@ -13,8 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osnids.capture import FlowRecord, extract_payload_features, label_packets, parse_capture
-from osnids.errors import PipelineError
+from osnids.capture import (
+    FLOW_COLUMNS,
+    FlowRecord,
+    extract_payload_features,
+    label_packets,
+    parse_capture,
+    read_flow_csv,
+)
+from osnids.config import DEFAULT_COLUMN_MAP
+from osnids.errors import PipelineError, ValueOutOfRange
 
 from helpers import (
     PCAP_MAGIC_NSEC,
@@ -268,21 +276,27 @@ class TestJoinAgainstOracle:
 
     @pytest.mark.parametrize("spelling", ["010.0.0.1", "10.0.0.1.", "10.0.0.256", " 10.0.0.1", "10.0.0.01", "10.0.1"])
     def test_non_canonical_flow_ip_matches_nothing(self, tmp_path, spelling):
+        """An address that is not a canonical dotted quad can match no packet, so
+        `read_flow_csv` refuses the flow table (exit 3), naming the line. Each
+        field is stripped first, so " 10.0.0.1" reads as 10.0.0.1 and joins."""
         frames = [
             ipv4_packet("10.0.0.1", "10.0.0.2", 1000, 80, "TCP", b"a"),
             ipv4_packet("10.0.0.3", "10.0.0.4", 2000, 81, "TCP", b"b"),
         ]
-        flows = [
-            _flow(spelling, 1000, "10.0.0.2", 80, "TCP", 0.0, 10.0, "odd_spelling"),
-            _flow("10.0.0.4", 81, spelling, 2000, "TCP", 0.0, 10.0, "odd_spelling"),
-            _flow("10.0.0.3", 2000, "10.0.0.4", 81, "TCP", 0.0, 10.0, "DoS"),
-        ]
         path = tmp_path / "spelling.pcap"
         path.write_bytes(build_pcap(frames, timestamps=[1.0, 1.0]))
-        _assert_join(path, flows)
-        sample_set, report = label_packets(parse_capture(path).packets, flows)
-        assert report.no_match == 1 and [sample_set.name_of(s.label) for s in sample_set.samples] == ["DoS"]
-        assert sample_set.class_names == ["BENIGN", "DoS", "odd_spelling"]
+        header = ",".join(DEFAULT_COLUMN_MAP[c] for c in FLOW_COLUMNS)
+        for column, row in (("src_ip", f"{spelling},1000,10.0.0.2,80"), ("dst_ip", f"10.0.0.4,81,{spelling},2000")):
+            csv_path = tmp_path / "flows.csv"
+            csv_path.write_text(f"{header}\n10.0.0.3,2000,10.0.0.4,81,TCP,0,10,DoS\n{row},TCP,0,10,odd_spelling\n")
+            if spelling.strip() == "10.0.0.1":
+                flows = read_flow_csv(csv_path, DEFAULT_COLUMN_MAP)
+                assert getattr(flows[1], column) == "10.0.0.1"
+                _assert_join(path, flows)
+            else:
+                with pytest.raises(ValueOutOfRange, match=f"flow CSV line 3: {column} ") as info:
+                    read_flow_csv(csv_path, DEFAULT_COLUMN_MAP)
+                assert info.value.exit_code == 3
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_tables(self, tmp_path, seed):

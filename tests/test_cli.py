@@ -190,6 +190,40 @@ class TestConfigSections:
         for name in ("d1_clustered.sset", "clustering.json"):
             assert (wd / name).read_bytes() == (workdir / name).read_bytes()
 
+    def test_leftover_learning_rate_leaves_config_digest(self, finished_run):
+        """The bundle's `training_config_digest` covers the settings as the
+        stages decode them: a key no stage reads, or 500.0 for an int 500,
+        leaves it; a setting that is read moves it."""
+        from osnids.pipeline import _config_digest
+
+        cfg = finished_run[2]
+        same = json.loads(json.dumps(cfg))
+        same["cluster"].update(learning_rate=200.0, iterations=500.0)
+        moved = json.loads(json.dumps(cfg))
+        moved["cluster"]["perplexity"] = 11.0
+        assert _config_digest(same) == _config_digest(cfg) != _config_digest(moved)
+
+    def test_train_base_refuses_bad_meta_before_training(self, finished_run, tmp_path, capsys, monkeypatch):
+        """The digest decodes the `meta` section too, so `train-base` refuses an
+        out-of-range `meta.holdout_fraction` before it trains a scorer."""
+        import shutil
+
+        from osnids import learners
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        wd.mkdir()
+        shutil.copy(workdir / "d1_clustered.sset", wd)
+        cfg = {**cfg, "workdir": str(wd), "meta": {**cfg["meta"], "holdout_fraction": 1.5}}
+
+        def must_not_train(*args, **kwargs):
+            raise AssertionError("train-base trained before refusing its config")
+
+        monkeypatch.setattr(learners, "train_base_ensemble", must_not_train)
+        assert main(["train-base", "--config", _write_config(tmp_path, cfg)]) == 3
+        assert "holdout_fraction must be in [0, 1), got 1.5" in capsys.readouterr().err
+        assert sorted(p.name for p in wd.iterdir()) == ["d1_clustered.sset"]
+
     def test_utf8_config_loads_under_c_locale(self, finished_run, tmp_path):
         import shutil
 
@@ -459,6 +493,17 @@ class TestStandardOutput:
         assert capfd.readouterr().out == ""
 
 
+def _write_untrainable_d1(path) -> None:
+    """A benign D1 of two 40-row payload groups and one of 8 rows."""
+    from osnids.persistence import save_sample_set
+    from osnids.samples import SampleSet, make_records
+
+    rng = np.random.default_rng(31)
+    templates = rng.integers(0, 256, (3, 1500))
+    groups = [np.clip(t + rng.integers(-4, 5, (m, 1500)), 1, 255) for t, m in zip(templates, (40, 40, 8))]
+    save_sample_set(SampleSet(class_names=["benign"], samples=make_records(np.vstack(groups), 0)), path)
+
+
 def _run_cli_child(argv, **env):
     """`osnids <argv>` in a child process with a 60 s timeout; `env` adds
     environment variables."""
@@ -723,18 +768,30 @@ class TestExitCodes:
         """Two 40-row payload groups and one of 8 rows: the sweep selects N = 3,
         whose 8-row cluster is below the scorers' 10-row minimum, so `cluster`
         exits 3 naming it, before it writes any artifact."""
-        from osnids.persistence import save_sample_set
-        from osnids.samples import SampleSet, make_records
-
-        rng = np.random.default_rng(31)
-        templates = rng.integers(0, 256, (3, 1500))
-        groups = [np.clip(t + rng.integers(-4, 5, (m, 1500)), 1, 255) for t, m in zip(templates, (40, 40, 8))]
         wd = tmp_path / "wd"
         wd.mkdir()
-        save_sample_set(SampleSet(class_names=["benign"], samples=make_records(np.vstack(groups), 0)), wd / "d1.sset")
+        _write_untrainable_d1(wd / "d1.sset")
         assert main(["cluster", "--config", _write_config(tmp_path, _small_config(wd))]) == 3
         assert "cluster 2: 8 of 88 rows; need >= 10 on each side" in capsys.readouterr().err
         assert sorted(p.name for p in wd.iterdir()) == ["d1.sset"]
+
+    def test_refused_cluster_leaves_no_partition_for_train_base(self, finished_run, tmp_path, capsys):
+        """`cluster` removes its earlier outputs before it reads D1, so after it
+        refuses a new D1, `train-base` finds no partition instead of training
+        on the finished run's."""
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        _write_untrainable_d1(wd / "d1.sset")
+        config_path = _write_config(tmp_path, {**cfg, "workdir": str(wd)})
+        assert main(["cluster", "--config", config_path]) == 3
+        capsys.readouterr()
+        assert not {"d1_clustered.sset", "clustering.csv", "clustering.json"} & {p.name for p in wd.iterdir()}
+        assert main(["train-base", "--config", config_path]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "d1_clustered.sset" in err
 
     def test_train_base_does_not_read_clustering_json(self, finished_run, tmp_path):
         import shutil

@@ -305,6 +305,25 @@ class TestTsne:
             EmbeddingParams(**{field: value})
 
 
+class TestAffinities:
+    """Each row of the conditional affinities is a distribution whose entropy
+    the bandwidth bisection has matched to log(perplexity)."""
+
+    @pytest.fixture(scope="class")
+    def P(self):
+        rng = np.random.default_rng(5)
+        X = np.vstack([c + rng.normal(0, 0.4, (70, 8)) for c in rng.normal(0, 2, (3, 8))])
+        return clustering._conditional_affinities(clustering._squared_distances(X), 30.0)
+
+    def test_rows_sum_to_one_off_the_diagonal(self, P):
+        assert np.all(np.diag(P) == 0.0)
+        assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
+
+    def test_row_entropy_matches_perplexity(self, P):
+        entropy = -np.sum(P * np.log(np.where(P > 0, P, 1.0)), axis=1)
+        assert np.max(np.abs(entropy - np.log(30.0))) <= clustering.ENTROPY_TOL + 1e-9
+
+
 class TestStudentTKernel:
     """The float32 kernel against its float64 definition 1 / (1 + |y_i - y_j|^2),
     on a layout as wide as a finished D1 embedding, with duplicated rows."""

@@ -71,3 +71,16 @@ class TestJudge:
     def test_different_d1_has_no_ari(self, gate):
         ari, faults = gate.judge(_side(), _side(d1="other"))
         assert ari is None and faults == ["D1 differs, so its partitions cannot be compared"]
+
+
+class TestSeeds:
+    def test_default_is_seeds_one_to_eight(self, gate):
+        assert gate.parse_args(["--parent", "HEAD"]).seeds == gate.SEEDS == tuple(range(1, 9))
+
+    def test_each_seed_flag_adds_a_seed(self, gate):
+        args = gate.parse_args(["--parent", "HEAD", "--seed", "26", "--seed", "7", "--seed", "59"])
+        assert args.seeds == (26, 7, 59)
+
+    def test_parent_is_required(self, gate):
+        with pytest.raises(SystemExit):
+            gate.parse_args(["--seed", "26"])
