@@ -12,14 +12,17 @@ stages, then `predict` on D3, and perfbench's checks of that round. One line
 per seed gives, for each side, the selected cluster count N, `detect_rate`
 and `benign_rate` (the evaluation report's sensitivity and specificity) and
 whether perfbench's checks passed, then the adjusted Rand index of the
-change's D1 partition against the parent's.
+change's D1 partition against the parent's and, when D1, D2 and D3 are the
+same bytes on both sides, the share of D3 rows whose `verdicts.csv`
+decision or any family bit O_1..O_4 differs.
 
 The exit code is 1 when, on any seed, N differs from the parent's, the ARI
-is below MIN_ARI, `benign_rate` falls, or either side fails a check or a
-stage; or when the mean `detect_rate` over the seeds falls by more than
-DETECT_MARGIN. A per-seed rate moves when clusters are only renumbered
-(by -0.023 to +0.054 in one such change), so detection is judged on the
-mean. Otherwise the exit code is 0. Nothing is written in the repository.
+is below MIN_ARI, the verdict share is above VERDICT_MARGIN, `benign_rate`
+falls, or either side fails a check or a stage; or when the mean
+`detect_rate` over the seeds falls by more than DETECT_MARGIN. A per-seed
+rate moves when clusters are only renumbered (by -0.023 to +0.054 in one
+such change), so detection is judged on the mean. Otherwise the exit code
+is 0. Nothing is written in the repository.
 """
 
 from __future__ import annotations
@@ -42,6 +45,12 @@ from bench_pairs import export_revision, export_worktree  # noqa: E402
 SEEDS = tuple(range(1, 9))
 MIN_ARI = 0.99
 DETECT_MARGIN = 0.01  # largest allowed fall of the mean detect_rate over the seeds run
+# Largest allowed share of D3 rows whose decision or family bits differ, on the
+# same D1 to D3. A last-bit change flips only rows whose probability sits on a
+# tree threshold or whose vote ties: a few of ingest-hard's ~1,500 D3 rows. One
+# in a hundred (about 15 rows) is a change in what the families learned.
+VERDICT_MARGIN = 0.01
+SPLITS = ("d1", "d2", "d3")
 RESULT = "gate.json"
 ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -84,9 +93,22 @@ def run_in_checkout(seed: int, root: Path) -> None:
             result["error"] = str(exc)
     if (inp.work / "d1_clustered.sset").exists():  # the cluster stage ran, whatever failed after it
         result["selected_n"] = json.loads((inp.work / "clustering.json").read_text())["selected_n"]
-        result["d1"] = hashlib.sha256((inp.work / "d1.sset").read_bytes()).hexdigest()
+        for split in SPLITS:
+            result[split] = hashlib.sha256((inp.work / f"{split}.sset").read_bytes()).hexdigest()
         result["clusters"] = corpus.read_sset(inp.work / "d1_clustered.sset")[1]["cluster"].tolist()
+    if (inp.work / "verdicts.csv").exists():
+        header, rows = checks.read_verdicts(inp.work / "verdicts.csv")
+        compared = [i for i, name in enumerate(header) if name.startswith("O_") or name == "decision"]
+        result["verdicts"] = [",".join(row[i] for i in compared) for row in rows]
     (root / RESULT).write_text(json.dumps(result))
+
+
+def verdict_share(parent: dict, change: dict) -> float | None:
+    """The share of D3 rows whose decision or family bits differ between the
+    sides; None unless both wrote verdicts on the same D1, D2 and D3."""
+    if "verdicts" not in parent or "verdicts" not in change or any(parent[s] != change[s] for s in SPLITS):
+        return None
+    return float(np.mean(np.array(parent["verdicts"]) != np.array(change["verdicts"])))
 
 
 def judge(parent: dict, change: dict) -> tuple[float | None, list[str]]:
@@ -102,6 +124,9 @@ def judge(parent: dict, change: dict) -> tuple[float | None, list[str]]:
     ari = adjusted_rand_index(parent["clusters"], change["clusters"])
     if ari < MIN_ARI:
         faults.append(f"ARI below {MIN_ARI}")
+    share = verdict_share(parent, change)
+    if share is not None and share > VERDICT_MARGIN:
+        faults.append(f"verdicts differ on more than {VERDICT_MARGIN} of D3")
     if parent["correct"] and change["correct"] and change["benign_rate"] < parent["benign_rate"]:
         faults.append("benign_rate fell")
     return ari, faults
@@ -146,9 +171,10 @@ def main() -> int:
                 results[side] = json.loads((root / RESULT).read_text()) if ok else {"correct": False}
                 detect[side].append(results[side].get("detect_rate", 0.0))
             ari, faults = judge(results["parent"], results["change"])
-            shown = "n/a" if ari is None else f"{ari:.4f}"
+            share = verdict_share(results["parent"], results["change"])
+            shown = ["n/a" if x is None else f"{x:.4f}" for x in (ari, share)]
             print(f"seed {seed}: parent {_figures(results['parent'])}; change {_figures(results['change'])}; "
-                  f"ARI {shown}" + "".join(f"; FAIL: {f}" for f in faults))
+                  f"ARI {shown[0]}; D3 verdicts differ {shown[1]}" + "".join(f"; FAIL: {f}" for f in faults))
             failed |= bool(faults)
     means = {side: float(np.mean(v)) for side, v in detect.items()}
     fall = means["parent"] - means["change"]

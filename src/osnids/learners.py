@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     DegenerateClasses,
     GeometryMismatch,
+    InvalidRange,
     MissingCluster,
     NonFiniteLoss,
     UntrainedEnsemble,
@@ -63,6 +64,15 @@ class TrainingConfig:
     learning_rate: float = 0.01
     l2: float = 1e-4
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise InvalidRange(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.learning_rate < float("inf"):
+            raise InvalidRange(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.l2 < float("inf"):
+            raise InvalidRange(f"l2 must be finite and >= 0, got {self.l2}")
 
 
 @dataclass
@@ -124,15 +134,12 @@ def logistic_scores(params: np.ndarray, X: np.ndarray) -> np.ndarray:
     return _sigmoid(X @ params[:-1] + params[-1])
 
 
-def logistic_loss_and_grad(params, X, y, weights, l2):
-    """Weighted cross-entropy + (l2/2)*||w||^2 (bias unregularized)."""
+def logistic_grad(params, X, y, weights, l2):
+    """Gradient of `_loss`: weighted cross-entropy + (l2/2)*||w||^2 (bias unregularized)."""
     w = params[:-1]
     p = logistic_scores(params, X)
-    wsum = weights.sum()
-    loss = _loss(LOGISTIC, params, p, y, weights, l2)
-    dz = weights * (p - y) / wsum
-    grad = np.concatenate([X.T @ dz + l2 * w, [dz.sum()]])
-    return loss, grad
+    dz = weights * (p - y) / weights.sum()
+    return np.concatenate([X.T @ dz + l2 * w, [dz.sum()]])
 
 
 # --- convnet kind ---
@@ -229,13 +236,12 @@ def convnet_scores(params: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.concatenate([_convnet_forward(params, X[i : i + SCORE_BLOCK])[0] for i in starts])
 
 
-def convnet_loss_and_grad(params, X, y, weights, l2):
+def convnet_grad(params, X, y, weights, l2):
+    """Gradient of `_loss` by backpropagation through `_convnet_forward`."""
     p, cache = _convnet_forward(params, X)
     t, cols1, z1, a1, cols2, z2, a2, idx, flat = cache
-    wsum = weights.sum()
-    loss = _loss(CONVNET, params, p, y, weights, l2)
 
-    dlogit = weights * (p - y) / wsum
+    dlogit = weights * (p - y) / weights.sum()
     dWd = flat.T @ dlogit + l2 * t["Wd"]
     dbd = np.array([dlogit.sum()])
     dflat = np.outer(dlogit, t["Wd"])
@@ -254,13 +260,12 @@ def convnet_loss_and_grad(params, X, y, weights, l2):
     dW1, db1 = _conv_param_grads(dz1, cols1, t["W1"])
     dW1 += l2 * t["W1"]
 
-    grad = _pack({"W1": dW1, "b1": db1, "W2": dW2, "b2": db2, "Wd": dWd, "bd": dbd})
-    return loss, grad
+    return _pack({"W1": dW1, "b1": db1, "W2": dW2, "b2": db2, "Wd": dWd, "bd": dbd})
 
 
-_KIND_FNS = {
-    LOGISTIC: (logistic_init, logistic_loss_and_grad, logistic_scores),
-    CONVNET: (convnet_init, convnet_loss_and_grad, convnet_scores),
+_KIND_FNS = {  # each kind's (init, gradient, scores)
+    LOGISTIC: (logistic_init, logistic_grad, logistic_scores),
+    CONVNET: (convnet_init, convnet_grad, convnet_scores),
 }
 
 
@@ -285,7 +290,7 @@ def train_scorer(
     if kind not in _KIND_FNS:
         raise GeometryMismatch(f"unknown scorer kind {kind!r}")
     config = config or TrainingConfig()
-    init, loss_and_grad, scores = _KIND_FNS[kind]
+    init, grad, scores = _KIND_FNS[kind]
 
     n = tensors.shape[0]
     n_pos = int(y.sum())
@@ -302,8 +307,7 @@ def train_scorer(
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            _, grad = loss_and_grad(params, X[idx], y[idx], weights[idx], config.l2)
-            params -= config.learning_rate * grad
+            params -= config.learning_rate * grad(params, X[idx], y[idx], weights[idx], config.l2)
         epoch_loss = _loss(kind, params, scores(params, X), y, weights, config.l2)
         if not np.isfinite(epoch_loss):
             raise NonFiniteLoss(f"loss diverged to {epoch_loss} during epoch {len(losses)}")

@@ -38,8 +38,11 @@ class MetaConfig:
     holdout_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.forest_trees < 1:
-            raise InvalidRange(f"forest_trees must be >= 1, got {self.forest_trees}")
+        # below these, a family has no tree or no split: it votes one class on every row
+        least = {"forest_trees": 1, "forest_depth": 1, "boost_rounds": 1, "boost_depth": 1, "boost_leaves": 2}
+        for name, low in least.items():
+            if getattr(self, name) < low:
+                raise InvalidRange(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0 < self.boost_learning_rate < float("inf"):
             raise InvalidRange(f"boost_learning_rate must be finite and > 0, got {self.boost_learning_rate}")
         if not 0 <= self.holdout_fraction < 1:

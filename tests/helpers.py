@@ -619,7 +619,7 @@ def gradient_check(kind: str, seed: int, n_coords: int = 20, h: float = 1e-4) ->
     or a pool argmax are skipped: central differences are not a derivative
     oracle across a nondifferentiable point.
     """
-    init, loss_and_grad, _ = learners._KIND_FNS[kind]
+    init, grad_of, scores = learners._KIND_FNS[kind]
     rng = np.random.default_rng(1000 + seed)
     X = rng.random((8, 20, 25, 3))
     Xp = learners._prepare_inputs(kind, X)
@@ -628,7 +628,10 @@ def gradient_check(kind: str, seed: int, n_coords: int = 20, h: float = 1e-4) ->
     weights = np.where(y == 1, 1.5, 0.75)
     params = init(seed) + rng.normal(0, 0.05, init(seed).shape)
     l2 = 1e-4
-    _, grad = loss_and_grad(params, Xp, y, weights, l2)
+    grad = grad_of(params, Xp, y, weights, l2)
+
+    def loss(theta):
+        return learners._loss(kind, theta, scores(theta, Xp), y, weights, l2)
 
     base_pattern = _convnet_pattern(params, X) if kind == learners.CONVNET else None
     worst, checked, tried = 0.0, 0, 0
@@ -643,9 +646,7 @@ def gradient_check(kind: str, seed: int, n_coords: int = 20, h: float = 1e-4) ->
         if kind == learners.CONVNET:
             if _convnet_pattern(plus, X) != base_pattern or _convnet_pattern(minus, X) != base_pattern:
                 continue
-        lp, _ = loss_and_grad(plus, Xp, y, weights, l2)
-        lm, _ = loss_and_grad(minus, Xp, y, weights, l2)
-        fd = (lp - lm) / (2 * h)
+        fd = (loss(plus) - loss(minus)) / (2 * h)
         worst = max(worst, abs(fd - grad[c]) / max(abs(fd), abs(grad[c]), 1e-8))
         checked += 1
     return worst

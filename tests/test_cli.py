@@ -627,6 +627,12 @@ class TestExitCodes:
             # in range, but D2's rows round to an empty side
             ("holdout_fraction", 1e-9, "holdout_fraction 1e-09 leaves no holdout row of"),
             ("holdout_fraction", 0.9999999, "holdout_fraction 0.9999999 leaves no training row of"),
+            # each of these grows a family that votes one class on every row
+            ("boost_rounds", 0, "boost_rounds must be >= 1, got 0"),
+            ("forest_depth", 0, "forest_depth must be >= 1, got 0"),
+            ("boost_depth", -1, "boost_depth must be >= 1, got -1"),
+            ("boost_leaves", 0, "boost_leaves must be >= 2, got 0"),
+            ("boost_leaves", 1, "boost_leaves must be >= 2, got 1"),
         ],
     )
     def test_meta_value_out_of_range_is_range_error(self, finished_run, tmp_path, capsys, key, value, message):
@@ -642,6 +648,33 @@ class TestExitCodes:
         for family in META_FAMILIES:
             name = f"meta_{family}.bin"
             assert (wd / "bundle" / name).read_bytes() == (workdir / "bundle" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("batch_size", 0, "batch_size must be >= 1, got 0"),  # once range()'s bare ValueError
+            ("batch_size", -5, "batch_size must be >= 1, got -5"),  # once untrained scorers
+            ("epochs", 0, "epochs must be >= 1, got 0"),
+            ("learning_rate", -0.01, "learning_rate must be finite and > 0, got -0.01"),  # once gradient ascent
+            ("learning_rate", 0.0, "learning_rate must be finite and > 0, got 0.0"),
+            ("learning_rate", float("inf"), "learning_rate must be finite and > 0, got inf"),
+            ("l2", -1e-4, "l2 must be finite and >= 0, got -0.0001"),
+            ("l2", float("inf"), "l2 must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_learners_value_out_of_range_is_range_error(self, finished_run, tmp_path, capsys, key, value, message):
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        cfg = json.loads(json.dumps({**cfg, "workdir": str(wd)}))
+        cfg["learners"][key] = value
+        assert main(["train-base", "--config", _write_config(tmp_path, cfg)]) == 3
+        assert message in capsys.readouterr().err
+        for path in (workdir / "bundle").iterdir():
+            assert (wd / "bundle" / path.name).read_bytes() == path.read_bytes(), path.name
+        assert (wd / "training_curves.csv").read_bytes() == (workdir / "training_curves.csv").read_bytes()
 
     def test_missing_sample_set_is_io_error(self, tmp_path):
         cfg = _small_config(tmp_path / "wd")

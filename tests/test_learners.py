@@ -3,6 +3,7 @@ import pytest
 
 from osnids.errors import (
     DegenerateClasses,
+    InvalidRange,
     MissingCluster,
     UntrainedEnsemble,
 )
@@ -17,6 +18,7 @@ from osnids.learners import (
     TrainingConfig,
     _KIND_FNS,
     _convnet_forward,
+    _loss,
     _pool_backward,
     _pool_forward,
     _prepare_inputs,
@@ -215,6 +217,22 @@ class TestTrainBaseLearner:
             assert np.all(np.isfinite(scorer.params))
 
 
+class TestTrainingConfigRanges:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 0), ("batch_size", 0), ("batch_size", -5), ("learning_rate", 0.0), ("learning_rate", -0.01),
+         ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("l2", -1e-9), ("l2", float("nan")),
+         ("l2", float("inf"))],
+    )
+    def test_out_of_range_is_refused(self, field, value):
+        with pytest.raises(InvalidRange, match=field):
+            TrainingConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("epochs", 1), ("batch_size", 1), ("learning_rate", 1e-12), ("l2", 0.0)])
+    def test_edge_values_in_range_are_kept(self, field, value):
+        assert getattr(TrainingConfig(**{field: value}), field) == value
+
+
 class TestTrainBaseEnsemble:
     def test_scorer_count_follows_n(self):
         rng = np.random.default_rng(9)
@@ -257,14 +275,14 @@ class TestTrainingAgainstOracle:
 
     @pytest.mark.parametrize("kind", [LOGISTIC, CONVNET])
     def test_loss_and_grad_match_oracle(self, kind):
-        init, loss_and_grad, _ = _KIND_FNS[kind]
+        init, grad_of, scores = _KIND_FNS[kind]
         for seed in range(40, 48):  # a third of such batches expose a reordered penalty sum
             rng = np.random.default_rng(seed)
             X = _prepare_inputs(kind, rng.random((13, 20, 25, 3)))
             y = (rng.random(13) < 0.5).astype(np.float64)
             weights = np.where(y == 1, 1.3, 0.8)
             params = init(3) + rng.normal(0, 0.05, init(3).shape)
-            loss, grad = loss_and_grad(params, X, y, weights, 1e-3)
+            loss, grad = _loss(kind, params, scores(params, X), y, weights, 1e-3), grad_of(params, X, y, weights, 1e-3)
             oracle_loss, oracle_grad = LOSS_AND_GRAD_ORACLES[kind](params, X, y, weights, 1e-3)
             assert np.float64(loss).tobytes() == np.float64(oracle_loss).tobytes()
             assert grad.tobytes() == oracle_grad.tobytes()

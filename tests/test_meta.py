@@ -144,6 +144,10 @@ class TestMetaConfigRanges:
         "field, value",
         [
             ("forest_trees", 0),
+            ("forest_depth", 0),
+            ("boost_rounds", 0),
+            ("boost_depth", -1),
+            ("boost_leaves", 1),
             ("boost_learning_rate", float("inf")),
             ("boost_learning_rate", float("nan")),
             ("boost_learning_rate", 0.0),
@@ -161,7 +165,7 @@ class TestMetaConfigRanges:
     @pytest.mark.parametrize(
         "field, value",
         [("boost_learning_rate", 1e-12), ("boost_learning_rate", 5.0), ("holdout_fraction", 0.0),
-         ("holdout_fraction", 0.999)],
+         ("holdout_fraction", 0.999), ("forest_depth", 1), ("boost_depth", 1), ("boost_leaves", 2)],
     )
     def test_edge_values_in_range_are_kept(self, field, value):
         assert getattr(MetaConfig(**{field: value}), field) == value

@@ -47,9 +47,9 @@ class TestAdjustedRandIndex:
         assert gate.adjusted_rand_index(a, b) == pytest.approx(gate.adjusted_rand_index(b, a), abs=1e-15)
 
 
-def _side(n=7, clusters=(0, 0, 1, 1, 2, 2), benign=1.0, d1="d1"):
+def _side(n=7, clusters=(0, 0, 1, 1, 2, 2), benign=1.0, d1="d1", verdicts=("0,0,0,0,benign",) * 200, d3="d3"):
     return {"correct": True, "detect_rate": 0.9, "benign_rate": benign, "selected_n": n,
-            "d1": d1, "clusters": list(clusters)}
+            "d1": d1, "d2": "d2", "d3": d3, "clusters": list(clusters), "verdicts": list(verdicts)}
 
 
 class TestJudge:
@@ -84,3 +84,32 @@ class TestSeeds:
     def test_parent_is_required(self, gate):
         with pytest.raises(SystemExit):
             gate.parse_args(["--seed", "26"])
+
+
+class TestVerdictShare:
+    ROWS = ["0,0,0,0,benign", "1,1,1,1,unknown_attack", "0,0,1,1,unknown_attack", "1,0,0,0,benign"] * 50
+
+    def test_identical_rows_share_nothing(self, gate):
+        parent, change = _side(verdicts=self.ROWS), _side(verdicts=list(self.ROWS))
+        assert gate.verdict_share(parent, change) == 0.0
+        assert gate.judge(parent, change) == (1.0, [])
+
+    def test_one_flipped_bit_counts_its_row(self, gate):
+        flipped = list(self.ROWS)
+        flipped[5] = "1,1,0,1,unknown_attack"  # O_3 only; the decision holds
+        share = gate.verdict_share(_side(verdicts=self.ROWS), _side(verdicts=flipped))
+        assert share == 1 / 200 <= gate.VERDICT_MARGIN
+        assert gate.judge(_side(verdicts=self.ROWS), _side(verdicts=flipped))[1] == []
+
+    def test_share_above_the_margin_fails(self, gate):
+        flipped = list(self.ROWS)
+        for i in range(0, 6):  # a decision flips on 3 rows, a bit alone on 3: 6 of 200
+            flipped[i] = "1,1,1,1,unknown_attack" if i % 4 != 1 else "1,1,1,0,unknown_attack"
+        share = gate.verdict_share(_side(verdicts=self.ROWS), _side(verdicts=flipped))
+        assert share == 6 / 200 > gate.VERDICT_MARGIN
+        assert f"verdicts differ on more than {gate.VERDICT_MARGIN} of D3" in gate.judge(
+            _side(verdicts=self.ROWS), _side(verdicts=flipped))[1]
+
+    def test_other_d3_is_not_compared(self, gate):
+        assert gate.verdict_share(_side(verdicts=self.ROWS), _side(verdicts=self.ROWS[::-1], d3="other")) is None
+        assert gate.verdict_share(_side(), {k: v for k, v in _side().items() if k != "verdicts"}) is None

@@ -232,10 +232,19 @@ def _tree_bytes(model):
 
 
 def _grow_with_oracle(monkeypatch):
-    """Route every grower's split search through the per-node argsort oracle."""
-    monkeypatch.setattr(
-        trees, "_best_split", lambda X, order, idx, g, h, lam, feats: split_oracle(X[idx], g[idx], h[idx], lam, feats)
-    )
+    """Route every grower's split search through the per-node argsort oracle,
+    given the node's rows of X, g and h as the finder's arguments hold them."""
+
+    def oracle(XT, order, idx, gh, lam, feats):
+        return split_oracle(XT.T[idx], gh.real[idx], gh.imag[idx], lam, feats)
+
+    monkeypatch.setattr(trees, "_best_split", oracle)
+
+
+def _presorted_split(X, idx, g, h, lam, feats):
+    """`trees._best_split` on X as the growers lay it out: feature-major, presorted."""
+    XT = np.ascontiguousarray(X.T)
+    return trees._best_split(XT, np.argsort(XT, axis=1, kind="stable"), idx, g + 1j * h, lam, feats)
 
 
 class TestPresortedSplitFinder:
@@ -257,10 +266,43 @@ class TestPresortedSplitFinder:
                 g, h, lam = -(rng.random(n) < rng.random()).astype(float), np.ones(n), 0.0
             idx = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
             feats = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
-            got = trees._best_split(X, np.argsort(X.T, axis=1, kind="stable"), idx, g, h, lam, feats)
+            got = _presorted_split(X, idx, g, h, lam, feats)
             assert got == split_oracle(X[idx], g[idx], h[idx], lam, feats)
             found += got is not None
         assert found >= 30
+
+    @pytest.mark.parametrize("newton", [False, True], ids=["gini", "newton"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nodes_of_every_row_equal_oracle(self, seed, newton):
+        rng = np.random.default_rng(150 + seed)
+        found = 0
+        for _ in range(40):
+            n, d = int(rng.integers(2, 200)), int(rng.integers(1, 8))
+            X = _tied_matrix(rng, n, d)
+            if newton:
+                g, h, lam = rng.normal(0, 1, n), rng.uniform(1e-3, 0.25, n), 1.0
+            else:
+                g, h, lam = -(rng.random(n) < rng.random()).astype(float), np.ones(n), 0.0
+            feats = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+            got = _presorted_split(X, np.arange(n), g, h, lam, feats)
+            assert got == split_oracle(X, g, h, lam, feats)
+            found += got is not None
+        assert found >= 20
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6])
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_constant_gradient_nodes_do_not_split(self, p, label):
+        """No split of a node whose g is constant gains: the growers' rule
+        that such a node is a leaf cannot move a tree."""
+        rng = np.random.default_rng(int(p * 1e6) + int(label))
+        for n, whole in [(2, True), (37, True), (400, True), (400, False)]:
+            X = _tied_matrix(rng, n, 5)
+            idx = np.arange(n) if whole else np.sort(rng.choice(n, size=n // 3, replace=False))
+            gini = -np.full(n, label), np.ones(n), 0.0  # a pure Gini node
+            newton = np.full(n, p - label), np.full(n, p * (1 - p)), 1.0  # p constant on a one-label node
+            for g, h, lam in (gini, newton):
+                assert _presorted_split(X, idx, g, h, lam, range(5)) is None
+                assert split_oracle(X[idx], g[idx], h[idx], lam, range(5)) is None
 
     @pytest.mark.parametrize("seed", range(3))
     def test_forest_equals_oracle_grown(self, seed, monkeypatch):
@@ -284,6 +326,39 @@ class TestPresortedSplitFinder:
         old = GradientBoostedTrees(growth=growth, rounds=15).fit(X, y)
         assert _tree_bytes(new) == _tree_bytes(old)
         assert sum(len(t) for t in new.trees) > len(new.trees)  # the trees did split
+
+
+class TestSortWork:
+    """What the fits no longer redo: the forest's per-tree sort and the
+    leafwise grower's search of pure leaves."""
+
+    @pytest.mark.parametrize("n, dtype", [(150, np.uint8), (300, np.uint16)])
+    def test_bootstrap_rank_order_is_the_value_order(self, n, dtype):
+        rng = np.random.default_rng(800 + n)
+        for _ in range(50):
+            X = _tied_matrix(rng, n, 5)
+            rank = trees._dense_rank(np.ascontiguousarray(X.T))
+            assert rank.dtype == dtype
+            boot = rng.integers(0, n, size=n)
+            got = np.argsort(rank[:, boot], axis=1, kind="stable")
+            assert np.array_equal(got, np.argsort(X[boot].T, axis=1, kind="stable"))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_leafwise_never_searches_a_constant_gradient_leaf(self, seed, monkeypatch):
+        rng = np.random.default_rng(900 + seed)
+        X = _tied_matrix(rng, 300, 5)
+        y = ((X[:, 0] > 0.5) ^ (X[:, 1] > 0.4) | (rng.random(300) < 0.05)).astype(float)
+        searched = []
+        finder = trees._best_split
+
+        def counted(XT, order, idx, gh, lam, feats):
+            searched.append(np.ptp(gh.real[idx]) == 0)
+            return finder(XT, order, idx, gh, lam, feats)
+
+        monkeypatch.setattr(trees, "_best_split", counted)
+        model = GradientBoostedTrees(growth="leafwise", rounds=10).fit(X, y)
+        assert len(searched) > 10 and not any(searched)
+        assert sum(len(t) for t in model.trees) > 3 * len(model.trees)  # the trees did split
 
 
 class TestRecordedLeafValues:
