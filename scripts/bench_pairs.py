@@ -14,8 +14,9 @@ such as one holding build caches, and an exported tree needs no cleanup in
 once on each side, one side after the other, alternating which side goes
 first. `BENCH_<name>.json` at the repository root then holds every
 run's final JSON line, each side's median and quartiles per end-to-end
-metric, the number of pairs the change won per metric, and the host: core
-count and the Python, numpy and OpenBLAS versions.
+metric, the number of pairs the change won per metric, each side's `src/`
+line count, and the host: core count and the Python, numpy and OpenBLAS
+versions.
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                 "error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of the `src/**/*.py` files under an exported tree, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
+
+
 def host() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -134,6 +140,7 @@ def main() -> int:
         record["parent"] = export_revision(args.parent, Path(tmp) / "parent")
         record["change"] = export_worktree(Path(tmp) / "change")
         sides = {side: Path(tmp) / side / "tree" for side in ("parent", "change")}
+        record["src_lines"] = {side: src_lines(tree) for side, tree in sides.items()}
         for workload in args.workload:
             runs = []
             for pair in range(args.pairs):

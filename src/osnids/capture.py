@@ -338,15 +338,15 @@ def _parse_number(value: str, kind: type, column: str):
     try:
         return kind(value)
     except ValueError as exc:
-        raise ValueOutOfRange(f"flow CSV {column} {value!r} is not a number") from exc
+        raise ValueOutOfRange(f"{column} {value!r} is not a number") from exc
 
 
-def _parse_ip(value: str, column: str, line: int) -> str:
+def _parse_ip(value: str, column: str) -> str:
     """A canonical dotted quad, the only spelling a captured packet's address can match."""
     ip = value.strip()
     parts = ip.split(".")
     if len(parts) != 4 or not all(p.isascii() and p.isdigit() and str(int(p)) == p and int(p) < 256 for p in parts):
-        raise ValueOutOfRange(f"flow CSV line {line}: {column} {value!r} is not a canonical dotted quad")
+        raise ValueOutOfRange(f"{column} {value!r} is not a canonical dotted quad")
     return ip
 
 
@@ -373,6 +373,22 @@ def _parse_protocol(value: str) -> str:
     raise ValueOutOfRange(f"unsupported protocol {value!r} in flow table (TCP/UDP/6/17)")
 
 
+def _flow_record(row: dict, column_map: dict[str, str]) -> FlowRecord:
+    if None in row.values():
+        raise ValueOutOfRange("fewer fields than the header")
+    f = {c: row[column_map[c]] for c in FLOW_COLUMNS}
+    return FlowRecord(
+        src_ip=_parse_ip(f["src_ip"], "src_ip"),
+        src_port=_parse_number(f["src_port"], int, "src_port"),
+        dst_ip=_parse_ip(f["dst_ip"], "dst_ip"),
+        dst_port=_parse_number(f["dst_port"], int, "dst_port"),
+        protocol=_parse_protocol(f["protocol"]),
+        start_time=_parse_time(f["start_time"]),
+        duration=_parse_number(f["duration"], float, "duration"),
+        label=f["label"].strip(),
+    )
+
+
 def read_flow_csv(path, column_map: dict[str, str]) -> list[FlowRecord]:
     """Load flow metadata from CSV.
 
@@ -396,21 +412,10 @@ def read_flow_csv(path, column_map: dict[str, str]) -> list[FlowRecord]:
             if absent:
                 raise ValueOutOfRange(f"flow CSV lacks mapped columns: {', '.join(absent)}")
             for row in reader:
-                if None in row.values():
-                    raise ValueOutOfRange(f"flow CSV line {reader.line_num} has fewer fields than its header")
-                f = {c: row[column_map[c]] for c in FLOW_COLUMNS}
-                flows.append(
-                    FlowRecord(
-                        src_ip=_parse_ip(f["src_ip"], "src_ip", reader.line_num),
-                        src_port=_parse_number(f["src_port"], int, "src_port"),
-                        dst_ip=_parse_ip(f["dst_ip"], "dst_ip", reader.line_num),
-                        dst_port=_parse_number(f["dst_port"], int, "dst_port"),
-                        protocol=_parse_protocol(f["protocol"]),
-                        start_time=_parse_time(f["start_time"]),
-                        duration=_parse_number(f["duration"], float, "duration"),
-                        label=f["label"].strip(),
-                    )
-                )
+                try:
+                    flows.append(_flow_record(row, column_map))
+                except ValueOutOfRange as exc:
+                    raise ValueOutOfRange(f"flow CSV line {reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise BadEncoding(f"flow CSV {path} is not valid UTF-8: {exc}") from exc
     return flows

@@ -76,14 +76,12 @@ def _conditional_affinities(d2: np.ndarray, perplexity: float) -> np.ndarray:
         d = d2[i, idx]
         dmin = d.min()
         ds = d - dmin  # entropy is shift invariant; keeps exp() in range
+        # ds holds an exact 0 and beta stays finite, so p holds a 1 and z >= 1
         beta, beta_min, beta_max = 1.0, -np.inf, np.inf
         for _ in range(BISECTION_STEPS):
             p = np.exp(-ds * beta)
             z = p.sum()
-            if z <= 0.0:
-                entropy = 0.0
-            else:
-                entropy = math.log(z) + beta * float(ds @ p) / z
+            entropy = math.log(z) + beta * float(ds @ p) / z
             diff = entropy - target
             if abs(diff) <= ENTROPY_TOL:
                 break
@@ -93,12 +91,7 @@ def _conditional_affinities(d2: np.ndarray, perplexity: float) -> np.ndarray:
             else:
                 beta_max = beta
                 beta = beta / 2.0 if beta_min == -np.inf else (beta + beta_min) / 2.0
-        z = p.sum()
-        if z <= 0.0:
-            # degenerate row: fall back to uniform over neighbors
-            P[i, idx] = 1.0 / (n - 1)
-        else:
-            P[i, idx] = p / z
+        P[i, idx] = p / z
     return P
 
 

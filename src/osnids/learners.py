@@ -6,10 +6,11 @@ scorers yields its N-vector of membership probabilities, the meta-features
 consumed by the meta-classifiers.
 
 Two scorer kinds exist: an L2-regularized logistic regression on the
-flattened normalized image (the default; convex and fast), and a small
-convolutional network with the same sigmoid output. Both expose their loss
-as a pure function of a flat parameter vector, so gradients can be checked
-against finite differences.
+normalized payload (the default; convex and fast), and a small
+convolutional network over its 20x25x3 image with the same sigmoid output.
+Both take the (n, 1500) matrix of `sample_tensors`; only the convnet
+reshapes it. Both expose their loss as a pure function of a flat parameter
+vector, so gradients can be checked against finite differences.
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ from .errors import (
     NonFiniteLoss,
     UntrainedEnsemble,
 )
-from .features import IMAGE_SHAPE
+from .samples import FEATURE_LEN, IMAGE_SHAPE
 
 LOGISTIC = "logistic"
 CONVNET = "convnet"
 SCORER_KINDS = (LOGISTIC, CONVNET)
 
-_INPUT_DIM = int(np.prod(IMAGE_SHAPE))
-LOGISTIC_N_PARAMS = _INPUT_DIM + 1
+LOGISTIC_N_PARAMS = FEATURE_LEN + 1
 
 # convnet geometry: two valid 3x3 convs, one 2x2 max-pool, dense head
 _C1_OUT, _C2_OUT = 8, 16
@@ -84,14 +84,15 @@ class BinaryScorer:
 
 @dataclass
 class BaseEnsemble:
-    scorers: list[BinaryScorer]
-    n_clusters: int
+    scorers: list[BinaryScorer]  # scorer i separates benign cluster i
 
     def __post_init__(self):
-        if self.n_clusters != len(self.scorers):
-            raise MissingCluster(f"{len(self.scorers)} scorers for {self.n_clusters} clusters")
         if self.n_clusters < 2:
             raise MissingCluster("a base ensemble needs at least 2 clusters")
+
+    @property
+    def n_clusters(self) -> int:
+        return len(self.scorers)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -130,7 +131,7 @@ def logistic_init(seed: int = 0) -> np.ndarray:
 
 
 def logistic_scores(params: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """X: (n, 1500) flattened normalized tensors."""
+    """X: (n, 1500) normalized payloads."""
     return _sigmoid(X @ params[:-1] + params[-1])
 
 
@@ -217,7 +218,7 @@ def _pool_backward(dout, idx, x_shape):
 
 def _convnet_forward(params, X):
     t = _unpack(params)
-    z1, cols1 = _conv_forward(X, t["W1"], t["b1"])
+    z1, cols1 = _conv_forward(X.reshape(len(X), *IMAGE_SHAPE), t["W1"], t["b1"])
     a1 = np.maximum(z1, 0.0)
     z2, cols2 = _conv_forward(a1, t["W2"], t["b2"])
     a2 = np.maximum(z2, 0.0)
@@ -230,7 +231,7 @@ def _convnet_forward(params, X):
 
 
 def convnet_scores(params: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """X: (n, 20, 25, 3) normalized tensors, SCORE_BLOCK rows a pass, so the
+    """X: (n, 1500) normalized payloads, SCORE_BLOCK rows a pass, so the
     im2col buffers (0.5 MB a row) stay bounded; bit-equal to one whole-batch pass."""
     starts = range(0, max(len(X), 1), SCORE_BLOCK)  # an empty batch is one empty block
     return np.concatenate([_convnet_forward(params, X[i : i + SCORE_BLOCK])[0] for i in starts])
@@ -269,37 +270,33 @@ _KIND_FNS = {  # each kind's (init, gradient, scores)
 }
 
 
-def _prepare_inputs(kind: str, tensors: np.ndarray) -> np.ndarray:
-    return tensors.reshape(tensors.shape[0], _INPUT_DIM) if kind == LOGISTIC else tensors
-
-
 def sample_tensors(samples: np.recarray) -> np.ndarray:
-    """The records' payloads as (n, 20, 25, 3) float tensors scaled by 1/255."""
-    tensors = samples.features.reshape(len(samples), *IMAGE_SHAPE).astype(np.float64)
+    """The records' payloads as an (n, 1500) float matrix scaled by 1/255."""
+    tensors = samples.features.astype(np.float64)
     tensors /= 255.0
     return tensors
 
 
 def train_scorer(
-    tensors: np.ndarray,
+    X: np.ndarray,
     y: np.ndarray,
     kind: str = LOGISTIC,
     config: Optional[TrainingConfig] = None,
 ) -> BinaryScorer:
-    """Mini-batch SGD on weighted cross-entropy, inverse-frequency weights."""
+    """Mini-batch SGD on weighted cross-entropy, inverse-frequency weights;
+    X is `sample_tensors`' (n, 1500) matrix."""
     if kind not in _KIND_FNS:
         raise GeometryMismatch(f"unknown scorer kind {kind!r}")
     config = config or TrainingConfig()
     init, grad, scores = _KIND_FNS[kind]
 
-    n = tensors.shape[0]
+    n = X.shape[0]
     n_pos = int(y.sum())
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateClasses(f"both classes required, got {n_pos} positive / {n_neg} negative")
     weights = np.where(y == 1, n / (2.0 * n_pos), n / (2.0 * n_neg))
 
-    X = _prepare_inputs(kind, tensors)
     params = init(config.seed)
     rng = np.random.default_rng(config.seed)
     losses: list[float] = []
@@ -352,7 +349,7 @@ def train_base_ensemble(
     tensors = sample_tensors(d1)
     ys = [(d1.cluster == i).astype(np.float64) for i in range(n)]
     scorers = [train_scorer(tensors, ys[i], kind, replace(base, seed=int(seeds[i]))) for i in range(n)]
-    return BaseEnsemble(scorers=scorers, n_clusters=n)
+    return BaseEnsemble(scorers=scorers)
 
 
 def meta_feature_matrix(ensemble: BaseEnsemble, samples: np.recarray) -> np.ndarray:
@@ -365,5 +362,5 @@ def meta_feature_matrix(ensemble: BaseEnsemble, samples: np.recarray) -> np.ndar
         tensors = sample_tensors(samples[i : i + SCORE_BLOCK])
         for j, scorer in enumerate(ensemble.scorers):
             scores = _KIND_FNS[scorer.kind][2]
-            out[i : i + SCORE_BLOCK, j] = scores(scorer.params, _prepare_inputs(scorer.kind, tensors))
+            out[i : i + SCORE_BLOCK, j] = scores(scorer.params, tensors)
     return out

@@ -16,13 +16,13 @@ import numpy as np
 
 from .errors import InvalidRange, LengthMismatch, SingleClassLabels, UntrainedModel, WrongArity
 from .learners import BaseEnsemble, meta_feature_matrix
-from .trees import GradientBoostedTrees, RandomForest
+from .trees import GradientBoostedTrees, RandomForest, sigmoid
 
 BENIGN = "benign"
 UNKNOWN_ATTACK = "unknown_attack"
 
 META_FAMILIES = ("logistic", "random_forest", "boost_depthwise", "boost_leafwise")
-VOTE_ARITY = 4
+VOTE_ARITY = len(META_FAMILIES)
 IRLS_ITERATIONS = 25
 IRLS_L2 = 1e-6  # ridge on the logistic meta-classifier's weights, not its bias
 
@@ -49,11 +49,6 @@ class MetaConfig:
             raise InvalidRange(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # exp(-z) = inf for z << 0 gives the limit 1 / (1 + inf) = 0
-        return 1.0 / (1.0 + np.exp(-z))
-
-
 class LogisticMetaClassifier:
     """Logistic regression fit by iteratively reweighted least squares."""
 
@@ -66,7 +61,7 @@ class LogisticMetaClassifier:
         reg = IRLS_L2 * np.eye(Xb.shape[1])
         reg[-1, -1] = 0.0
         for _ in range(IRLS_ITERATIONS):
-            p = _sigmoid(Xb @ w)
+            p = sigmoid(Xb @ w)
             r = np.maximum(p * (1.0 - p), 1e-9)
             H = (Xb * r[:, None]).T @ Xb + reg
             grad = Xb.T @ (p - y) + reg @ w
@@ -79,7 +74,7 @@ class LogisticMetaClassifier:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-        return _sigmoid(Xb @ self.coef)
+        return sigmoid(Xb @ self.coef)
 
 
 def _make_classifier(family: str, config: MetaConfig, seed: int):
@@ -107,12 +102,11 @@ def _make_classifier(family: str, config: MetaConfig, seed: int):
 @dataclass
 class MetaEnsemble:
     classifiers: list  # one per META_FAMILIES entry, same order
-    families: tuple[str, ...] = META_FAMILIES
     holdout_accuracy: dict[str, float] = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.classifiers) != VOTE_ARITY or len(self.families) != VOTE_ARITY:
+        if len(self.classifiers) != VOTE_ARITY:
             raise WrongArity(f"meta ensemble needs exactly {VOTE_ARITY} classifiers")
 
 

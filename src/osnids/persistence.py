@@ -31,10 +31,9 @@ from .errors import (
     ManifestInvalid,
     VersionUnsupported,
 )
-from .features import IMAGE_SHAPE
 from .learners import BaseEnsemble, BinaryScorer, CONVNET, CONVNET_N_PARAMS, LOGISTIC, LOGISTIC_N_PARAMS
 from .meta import BENIGN, META_FAMILIES, UNKNOWN_ATTACK, VOTE_ARITY, LogisticMetaClassifier, MetaEnsemble, Verdicts
-from .samples import RECORD_DTYPE, SampleSet
+from .samples import IMAGE_SHAPE, RECORD_DTYPE, SampleSet
 from .trees import GradientBoostedTrees, RandomForest, TreeFamily, TreeNodes
 
 SAMPLESET_MAGIC = b"OSNIDS1"
@@ -344,7 +343,7 @@ def save_bundle(base: BaseEnsemble, meta: Optional[MetaEnsemble], path, config_d
     except OSError as exc:
         raise IoFailure(f"cannot create bundle directory {root}: {exc}") from exc
 
-    families, classifiers = (list(meta.families), meta.classifiers) if meta is not None else ([], [])
+    families, classifiers = (list(META_FAMILIES), meta.classifiers) if meta is not None else ([], [])
     names = _parameter_files(len(base.scorers), families)
     payloads = [*map(_encode_scorer, base.scorers), *map(_encode_meta_classifier, families, classifiers)]
     for name, payload in zip(names, payloads):
@@ -419,7 +418,7 @@ def load_bundle(path) -> tuple[BaseEnsemble, Optional[MetaEnsemble]]:
     scorers = [_decode_scorer(_read_payload(root / name), m) for name, m in zip(names, scorer_meta)]
     if "scorer_kinds" in manifest and manifest["scorer_kinds"] != [s.kind for s in scorers]:
         raise ManifestInvalid("manifest scorer_kinds do not match the scorer files' kind tags")
-    base = BaseEnsemble(scorers=scorers, n_clusters=n_clusters)
+    base = BaseEnsemble(scorers=scorers)
     if not families:
         return base, None
     classifiers = [

@@ -49,6 +49,13 @@ def _seed(cfg: dict) -> int:
     return setting(cfg, "seed", int)
 
 
+def _scorer_kind(cfg: dict) -> str:
+    kind = setting(cfg, "learners.kind", str)
+    if kind not in learners.SCORER_KINDS:
+        raise ConfigError(f"config key learners.kind: expected one of {', '.join(learners.SCORER_KINDS)}, got {kind!r}")
+    return kind
+
+
 def _config_digest(cfg: dict) -> str:
     """Digest of the settings that shape the trained models, as the stages
     decode them: a key no stage reads does not change it."""
@@ -57,7 +64,7 @@ def _config_digest(cfg: dict) -> str:
         "seed": seed,
         "cluster": asdict(settings(cfg, "cluster", clustering.EmbeddingParams, seed=seed)),
         "sweep": {key: setting(cfg, f"cluster.{key}", int) for key in SWEEP_KEYS},
-        "learners.kind": require(cfg, "learners.kind"),
+        "learners.kind": _scorer_kind(cfg),
         "learners": asdict(settings(cfg, "learners", learners.TrainingConfig, seed=seed)),
         "meta": asdict(settings(cfg, "meta", meta.MetaConfig)),
     }
@@ -136,7 +143,7 @@ def stage_cluster(cfg: dict) -> clustering.ClusteringReport:
     params = settings(cfg, "cluster", clustering.EmbeddingParams, seed=_seed(cfg))
     sweep = {key: setting(cfg, f"cluster.{key}", int) for key in SWEEP_KEYS}
     d1 = persistence.load_sample_set(wd / D1)
-    embedding = clustering.tsne_embed(d1.samples.features.astype(np.float64) / 255.0, params)
+    embedding = clustering.tsne_embed(learners.sample_tensors(d1.samples), params)
     report = clustering.select_cluster_count(embedding, **sweep, seed=_seed(cfg))
     learners.require_trainable(report.assignments, report.selected_n)  # before any artifact is written
     annotated = clustering.annotate_clusters(d1.samples, report.assignments)
@@ -155,7 +162,7 @@ def stage_cluster(cfg: dict) -> clustering.ClusteringReport:
 def stage_train_base(cfg: dict) -> learners.BaseEnsemble:
     wd = workdir_of(cfg)
     digest = _config_digest(cfg)  # decodes every section it covers before anything trains
-    kind = require(cfg, "learners.kind")
+    kind = _scorer_kind(cfg)
     config = settings(cfg, "learners", learners.TrainingConfig, seed=_seed(cfg))
     d1 = persistence.load_sample_set(wd / D1_CLUSTERED)
     n = len(np.unique(d1.samples.cluster))  # train_base_ensemble refuses ids that are not 0..n-1
@@ -191,6 +198,7 @@ def stage_train_meta(cfg: dict) -> meta.MetaEnsemble:
 def stage_evaluate(cfg: dict) -> evaluation.EvalReport:
     wd = workdir_of(cfg)
     quantile = setting(cfg, "eval.baseline_quantile", float)
+    d1 = persistence.load_sample_set(wd / D1_CLUSTERED)  # before any output is rewritten
     base, meta_ens = persistence.load_bundle(wd / BUNDLE_DIR)
     if meta_ens is None:
         raise UntrainedModel("bundle has no meta-classifiers; run train-meta first")
@@ -199,8 +207,6 @@ def stage_evaluate(cfg: dict) -> evaluation.EvalReport:
     persistence.write_json(wd / EVAL_REPORT, report.to_dict())
     persistence.write_csv(wd / EVAL_REPORT_CSV, report.to_rows())
     persistence.write_verdict_csv(wd / VERDICTS, mf, verdicts)
-    d1_path = wd / D1_CLUSTERED if (wd / D1_CLUSTERED).exists() else wd / D1
-    d1 = persistence.load_sample_set(d1_path)
     baseline = evaluation.naive_baseline(d1.samples, d3.samples, d3.class_names, threshold_quantile=quantile)
     persistence.write_json(wd / BASELINE_REPORT, baseline.to_dict())
     log.info(

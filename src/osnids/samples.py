@@ -3,6 +3,9 @@
 Each record is exactly one `.sset` record: 1500 payload bytes, a u16 class
 label and an i16 benign cluster id (-1 = no cluster). Stages select, stack
 and score whole columns; nothing is re-stacked per packet.
+
+The payload is the paper's 20x25 RGB image read row-major: byte
+3 * (25 * r + c) + k is channel k of pixel (r, c).
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import numpy as np
 
 from .errors import ValueOutOfRange, WrongLength
 
-FEATURE_LEN = 1500
+IMAGE_SHAPE = (20, 25, 3)  # rows, columns, channels
+FEATURE_LEN = IMAGE_SHAPE[0] * IMAGE_SHAPE[1] * IMAGE_SHAPE[2]
 BENIGN_CLASS_ID = 0
 BENIGN_CLASS_NAME = "benign"
 NO_CLUSTER = -1

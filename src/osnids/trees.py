@@ -22,6 +22,12 @@ _GAIN_TOL = 1e-12
 BOOST_LAMBDA = 1.0  # L2 penalty on boosted leaf weights
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic link of boosting and of the logistic meta-classifier."""
+    with np.errstate(over="ignore"):  # exp(-z) = inf for z << 0 gives the limit 1 / (1 + inf) = 0
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 @dataclass
 class TreeNodes:
     feature: np.ndarray  # int32; -1 marks a leaf
@@ -311,7 +317,7 @@ class GradientBoostedTrees(TreeFamily):
         order = np.argsort(X.T, axis=1, kind="stable")  # X is fixed for the whole fit
         trees = []
         for _ in range(self.rounds):
-            p = 1.0 / (1.0 + np.exp(-F))
+            p = sigmoid(F)
             g, h = p - y, np.maximum(p * (1.0 - p), 1e-12)
             if self.growth == "depthwise":
                 tree, fitted = build_tree(X, g, h, self.max_depth, BOOST_LAMBDA, order=order)
@@ -323,4 +329,4 @@ class GradientBoostedTrees(TreeFamily):
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         F = predict_trees(self, X, self.base_score, self.learning_rate)  # F + lr * v, as the fit added them
-        return 1.0 / (1.0 + np.exp(-F))
+        return sigmoid(F)

@@ -33,6 +33,7 @@ from osnids.capture import (
     RawPacketRecord,
 )
 from osnids.errors import BadMagic, CountMismatch, TruncatedHeader, UnreadableFile
+from osnids.samples import IMAGE_SHAPE
 
 # --- pcap fixture construction ---
 
@@ -621,17 +622,16 @@ def gradient_check(kind: str, seed: int, n_coords: int = 20, h: float = 1e-4) ->
     """
     init, grad_of, scores = learners._KIND_FNS[kind]
     rng = np.random.default_rng(1000 + seed)
-    X = rng.random((8, 20, 25, 3))
-    Xp = learners._prepare_inputs(kind, X)
+    X = rng.random((8, 1500))
     y = rng.integers(0, 2, 8).astype(float)
     y[0], y[1] = 0, 1
     weights = np.where(y == 1, 1.5, 0.75)
     params = init(seed) + rng.normal(0, 0.05, init(seed).shape)
     l2 = 1e-4
-    grad = grad_of(params, Xp, y, weights, l2)
+    grad = grad_of(params, X, y, weights, l2)
 
     def loss(theta):
-        return learners._loss(kind, theta, scores(theta, Xp), y, weights, l2)
+        return learners._loss(kind, theta, scores(theta, X), y, weights, l2)
 
     base_pattern = _convnet_pattern(params, X) if kind == learners.CONVNET else None
     worst, checked, tried = 0.0, 0, 0
@@ -701,7 +701,7 @@ def convnet_loss_and_grad_oracle(params, X, y, weights, l2):
     da1, dW2, db2 = conv_backward_oracle(dz2, cols2, t["W2"], a1.shape)
     dW2 += l2 * t["W2"]
     dz1 = da1 * (z1 > 0)
-    _, dW1, db1 = conv_backward_oracle(dz1, cols1, t["W1"], X.shape)
+    _, dW1, db1 = conv_backward_oracle(dz1, cols1, t["W1"], (X.shape[0], *IMAGE_SHAPE))
     dW1 += l2 * t["W1"]
 
     grad = learners._pack({"W1": dW1, "b1": db1, "W2": dW2, "b2": db2, "Wd": dWd, "bd": dbd})
@@ -714,14 +714,13 @@ LOSS_AND_GRAD_ORACLES = {
 }
 
 
-def train_scorer_oracle(tensors, y, kind, config):
+def train_scorer_oracle(X, y, kind, config):
     """(params, loss curve) of the old `train_scorer` loop."""
     init = learners._KIND_FNS[kind][0]
     loss_and_grad = LOSS_AND_GRAD_ORACLES[kind]
-    n = tensors.shape[0]
+    n = X.shape[0]
     n_pos = int(y.sum())
     weights = np.where(y == 1, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
-    X = learners._prepare_inputs(kind, tensors)
     params = init(config.seed)
     rng = np.random.default_rng(config.seed)
     losses = []
@@ -784,7 +783,7 @@ def meta_feature_oracle(ensemble, samples):
     cols = []
     for scorer in ensemble.scorers:
         if scorer.kind == learners.LOGISTIC:
-            cols.append(learners.logistic_scores(scorer.params, learners._prepare_inputs(scorer.kind, tensors)))
+            cols.append(learners.logistic_scores(scorer.params, tensors))
         else:
             cols.append(learners._convnet_forward(scorer.params, tensors)[0])
     return np.stack(cols, axis=1)

@@ -405,6 +405,19 @@ HOSTILE_FLOW_ROWS = {
     "negative_dst_port": (b"10.0.0.3,1001,10.0.0.4,-1,UDP,200.0,1.0,DoS\n", ValueOutOfRange),
 }
 
+# case -> a second data row whose one bad field the reader refuses, naming line 3
+LINE_NAMED_FLOW_ROWS = {
+    "port_70000": b"10.0.0.3,70000,10.0.0.4,80,UDP,200.0,1.0,DoS\n",
+    "port_x": b"10.0.0.3,x,10.0.0.4,81,UDP,200.0,1.0,DoS\n",
+    "negative_duration": b"10.0.0.3,1001,10.0.0.4,81,UDP,200.0,-1.0,DoS\n",
+    "nan_start_time": b"10.0.0.3,1001,10.0.0.4,81,UDP,nan,1.0,DoS\n",
+    "start_time_yesterday": b"10.0.0.3,1001,10.0.0.4,81,UDP,yesterday,1.0,DoS\n",
+    "protocol_icmp": b"10.0.0.3,1001,10.0.0.4,81,ICMP,200.0,1.0,DoS\n",
+    "empty_label": b"10.0.0.3,1001,10.0.0.4,81,UDP,200.0,1.0,\n",
+    "address": b"10.0.0.03,1001,10.0.0.4,81,UDP,200.0,1.0,DoS\n",
+    "short_row": b"10.0.0.3,1001,10.0.0.4\n",
+}
+
 
 class TestFlowCsv:
     def test_column_mapping(self, tmp_path):
@@ -443,6 +456,15 @@ class TestFlowCsv:
         with pytest.raises(error) as info:
             read_flow_csv(csv_path, _FLOW_COLUMN_MAP)
         assert info.value.exit_code == (2 if error is BadEncoding else 3)
+
+    @pytest.mark.parametrize("case", sorted(LINE_NAMED_FLOW_ROWS))
+    def test_row_error_names_its_line_once(self, tmp_path, case):
+        csv_path = tmp_path / "flows.csv"
+        csv_path.write_bytes(_FLOW_HEADER.encode() + _GOOD_FLOW_ROW + LINE_NAMED_FLOW_ROWS[case])
+        with pytest.raises(ValueOutOfRange) as info:
+            read_flow_csv(csv_path, _FLOW_COLUMN_MAP)
+        message = str(info.value)
+        assert message.startswith("flow CSV line 3: ") and message.count("flow CSV line") == 1, message
 
     def test_port_range_ends_accepted(self, tmp_path):
         csv_path = tmp_path / "flows.csv"

@@ -676,6 +676,24 @@ class TestExitCodes:
             assert (wd / "bundle" / path.name).read_bytes() == path.read_bytes(), path.name
         assert (wd / "training_curves.csv").read_bytes() == (workdir / "training_curves.csv").read_bytes()
 
+    @pytest.mark.parametrize("stage", ["train-base", "train-meta"])
+    @pytest.mark.parametrize("kind", [["logistic"], "svm"], ids=["list", "unknown"])
+    def test_unknown_scorer_kind_is_config_error(self, finished_run, tmp_path, capsys, stage, kind):
+        """`learners.kind` is decoded with the config digest, so both train
+        stages refuse a kind that is not a scorer kind before they train."""
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        cfg = json.loads(json.dumps({**cfg, "workdir": str(wd)}))
+        cfg["learners"]["kind"] = kind
+        assert main([stage, "--config", _write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config key learners.kind: expected " in err and "Traceback" not in err
+        for path in (workdir / "bundle").iterdir():
+            assert (wd / "bundle" / path.name).read_bytes() == path.read_bytes(), path.name
+
     def test_missing_sample_set_is_io_error(self, tmp_path):
         cfg = _small_config(tmp_path / "wd")
         config_path = _write_config(tmp_path, cfg)
@@ -825,6 +843,26 @@ class TestExitCodes:
         assert main(["train-base", "--config", config_path]) == 2
         err = capsys.readouterr().err
         assert "cannot read" in err and "d1_clustered.sset" in err
+
+    def test_refused_cluster_leaves_no_partition_for_evaluate(self, finished_run, tmp_path, capsys):
+        """`evaluate` reads only the clustered D1, and reads it first: after
+        `cluster` refuses a new D1, it rewrites no report from the old bundle."""
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        _write_untrainable_d1(wd / "d1.sset")
+        config_path = _write_config(tmp_path, {**cfg, "workdir": str(wd)})
+        assert main(["cluster", "--config", config_path]) == 3
+        outputs = ("eval_report.json", "eval_report.csv", "verdicts.csv", "baseline_report.json")
+        for name in outputs:
+            (wd / name).unlink()
+        capsys.readouterr()
+        assert main(["evaluate", "--config", config_path]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "d1_clustered.sset" in err
+        assert not set(outputs) & {p.name for p in wd.iterdir()}
 
     def test_train_base_does_not_read_clustering_json(self, finished_run, tmp_path):
         import shutil

@@ -21,7 +21,6 @@ from osnids.learners import (
     _loss,
     _pool_backward,
     _pool_forward,
-    _prepare_inputs,
     convnet_scores,
     logistic_scores,
     meta_feature_matrix,
@@ -63,7 +62,7 @@ def _random_records(rng, n):
 
 def _pair(scorer):
     """Two copies of one scorer: the smallest ensemble the batch path scores."""
-    return BaseEnsemble(scorers=[scorer, scorer], n_clusters=2)
+    return BaseEnsemble(scorers=[scorer, scorer])
 
 
 class TestGradients:
@@ -76,7 +75,7 @@ class TestGradients:
 class TestSampleTensors:
     def test_matches_per_sample_image_normalization(self):
         rows = _random_records(np.random.default_rng(20), 30)
-        expected = np.stack([image_tensor_oracle(s.features) for s in rows])
+        expected = np.stack([image_tensor_oracle(s.features).reshape(-1) for s in rows])
         assert sample_tensors(rows).tobytes() == expected.tobytes()
 
 
@@ -125,7 +124,7 @@ class TestBlockScoring:
         rng = np.random.default_rng(n)
         n_params = LOGISTIC_N_PARAMS if kind == LOGISTIC else CONVNET_N_PARAMS
         ensemble = BaseEnsemble(
-            scorers=[BinaryScorer(kind=kind, params=rng.normal(0, 0.5, n_params)) for _ in range(3)], n_clusters=3
+            scorers=[BinaryScorer(kind=kind, params=rng.normal(0, 0.5, n_params)) for _ in range(3)]
         )
         rows = _random_records(rng, n)
         expected = meta_feature_oracle(ensemble, rows)
@@ -165,7 +164,7 @@ class TestTrainBaseLearner:
         rng = np.random.default_rng(3)
         samples, _ = _clustered_corpus(rng)
         scorer = train_base_ensemble(samples, 3, config=TrainingConfig(seed=0)).scorers[0]
-        X = sample_tensors(samples).reshape(len(samples), -1)
+        X = sample_tensors(samples)
         preds = logistic_scores(scorer.params, X) >= 0.5
         truth = samples.cluster == 0
         assert (preds == truth).mean() >= 0.99
@@ -278,7 +277,7 @@ class TestTrainingAgainstOracle:
         init, grad_of, scores = _KIND_FNS[kind]
         for seed in range(40, 48):  # a third of such batches expose a reordered penalty sum
             rng = np.random.default_rng(seed)
-            X = _prepare_inputs(kind, rng.random((13, 20, 25, 3)))
+            X = rng.random((13, 1500))
             y = (rng.random(13) < 0.5).astype(np.float64)
             weights = np.where(y == 1, 1.3, 0.8)
             params = init(3) + rng.normal(0, 0.05, init(3).shape)
@@ -347,7 +346,6 @@ class TestMetaFeatures:
         with pytest.raises((UntrainedEnsemble, MissingCluster)):
             empty = BaseEnsemble.__new__(BaseEnsemble)
             empty.scorers = []
-            empty.n_clusters = 0
             rng = np.random.default_rng(15)
             vec = rng.integers(1, 256, (1, 1500)).astype(np.uint8)
             meta_feature_matrix(empty, make_records(vec, 0))

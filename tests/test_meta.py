@@ -108,7 +108,6 @@ class TestTrainMetaClassifiers:
         X, y = _separable_meta_data(rng)
         ensemble = train_meta_classifiers(X, y, seed=0)
         assert len(ensemble.classifiers) == 4
-        assert ensemble.families == META_FAMILIES
         assert len(set(type(c).__name__ for c in ensemble.classifiers)) >= 3  # two boost variants share a class
 
     def test_holdout_accuracy_recorded_and_high(self):
@@ -239,7 +238,6 @@ class TestPredict:
 
         base = BaseEnsemble(
             scorers=[BinaryScorer(kind="logistic", params=np.zeros(1501)) for _ in range(2)],
-            n_clusters=2,
         )
         for bits in itertools.product((0, 1), repeat=4):
             (verdict,), _ = predict_batch(base, _stub_ensemble(bits), sample)
@@ -275,7 +273,6 @@ class TestPredict:
 
         hollow = BaseEnsemble.__new__(BaseEnsemble)
         hollow.scorers = []
-        hollow.n_clusters = 0
         with pytest.raises(UntrainedModel):
             predict_batch(hollow, ensemble, sample)
 
