@@ -7,7 +7,7 @@ meta-features to label the packet benign or unknown attack.
 """
 
 from .capture import (
-    FlowRecord,
+    FLOW_DTYPE,
     RawPacketRecord,
     UnmatchedReport,
     deduplicate,

@@ -10,8 +10,9 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
@@ -44,6 +45,9 @@ IPPROTO_TCP = 6
 IPPROTO_UDP = 17
 
 FLOW_COLUMNS = ("src_ip", "src_port", "dst_ip", "dst_port", "protocol", "start_time", "duration", "label")
+# One row per flow CSV row, in file order. Column 0 of `ip` and `port` is the
+# source; `window` is (start, start + duration) in seconds.
+FLOW_DTYPE = np.dtype([("ip", "i8", (2,)), ("port", "i8", (2,)), ("tcp", "?"), ("window", "f8", (2,)), ("label", "O")])
 
 
 @dataclass(frozen=True)
@@ -55,28 +59,6 @@ class RawPacketRecord:
     dst_port: int
     protocol: str  # TCP or UDP
     payload: bytes
-
-
-@dataclass(frozen=True)
-class FlowRecord:
-    src_ip: str
-    src_port: int
-    dst_ip: str
-    dst_port: int
-    protocol: str
-    start_time: float
-    duration: float
-    label: str
-
-    def __post_init__(self):
-        if not (math.isfinite(self.start_time) and math.isfinite(self.duration)):
-            raise ValueOutOfRange(f"flow start time {self.start_time} and duration {self.duration} must be finite")
-        if self.duration < 0:
-            raise ValueOutOfRange(f"flow duration must be >= 0, got {self.duration}")
-        if not (0 <= self.src_port <= 0xFFFF and 0 <= self.dst_port <= 0xFFFF):
-            raise ValueOutOfRange(f"flow ports must be in 0..65535, got {self.src_port}, {self.dst_port}")
-        if not self.label:
-            raise ValueOutOfRange("flow label must be non-empty")
 
 
 @dataclass(eq=False)
@@ -109,9 +91,6 @@ class ParseResult(Sequence):
         payload = self.data[start : start + int(self.payload_len[i])]
         protocol = TCP if self.tcp[i] else UDP
         return RawPacketRecord(float(self.timestamp[i]), src_ip, dst_ip, src_port, dst_port, protocol, payload)
-
-    def skip_count(self) -> int:
-        return sum(self.skipped.values())
 
 
 @dataclass
@@ -217,12 +196,13 @@ def parse_capture(path) -> ParseResult:
 def extract_payload_features(packet: RawPacketRecord) -> Optional[np.ndarray]:
     """Map payload bytes to a fixed 1500-entry uint8 vector.
 
-    Empty payloads yield None; longer payloads keep the first 1500 bytes;
-    shorter ones are zero padded on the right.
+    Empty payloads yield None, and so do those whose first 1500 bytes are
+    all zero, as `label_packets` counts them; longer payloads keep the first
+    1500 bytes; shorter ones are zero padded on the right.
     """
-    if not packet.payload:
-        return None
     raw = np.frombuffer(packet.payload[:FEATURE_LEN], dtype=np.uint8)
+    if not raw.any():
+        return None
     if raw.size == FEATURE_LEN:
         return raw.copy()
     out = np.zeros(FEATURE_LEN, dtype=np.uint8)
@@ -230,46 +210,54 @@ def extract_payload_features(packet: RawPacketRecord) -> Optional[np.ndarray]:
     return out
 
 
+def _any_nonzero(view: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Whether each slice view[start:start + size] holds a non-zero byte. The
+    slices are in file order, so only the last can end at the end of `view`."""
+    out = size > 0
+    bounds = np.stack([start, start + size], axis=1)[out].ravel()
+    if bounds.size and bounds[-1] == view.size:  # reduceat's last slice runs to the end
+        bounds = bounds[:-1]
+    out[out] = np.maximum.reduceat(view, bounds)[::2] > 0
+    return out
+
+
 def label_packets(
     packets: ParseResult,
-    flows: Sequence[FlowRecord],
+    flows: np.ndarray,
     benign_label: str = "BENIGN",
 ) -> tuple[SampleSet, UnmatchedReport]:
-    """Join packets against flow metadata on the bidirectional five-tuple.
+    """Join packets against a `FLOW_DTYPE` flow table on the bidirectional
+    five-tuple.
 
     Among flows sharing a five-tuple, the one whose time window contains the
     packet timestamp wins; remaining ties go to the earliest start time,
     then to the earlier flow. A flow IP matches only as the exact dotted
     quad a packet address prints as. Unmatched and empty-payload packets
-    are dropped and counted.
+    are dropped and counted; a payload whose first 1500 bytes are all zero
+    has the feature vector of an empty one, so it counts as empty.
     """
-    if not flows:
+    if not len(flows):
         raise EmptyFlowTable("flow table is empty")
 
-    class_names = [benign_label] + sorted({f.label for f in flows if f.label != benign_label})
-    class_id = {name: i for i, name in enumerate(class_names)}
-    # a flow IP string that no packet address prints as matches nothing (-1)
-    addr = defaultdict(lambda: -1, ((_ipv4_str(a), a) for a in np.unique(packets.ip).tolist()))
-    table = np.array(
-        [(addr[f.src_ip], addr[f.dst_ip], f.src_port, f.dst_port, f.protocol == TCP, class_id[f.label]) for f in flows],
-        dtype=np.int64,
-    )
-    usable = (table[:, :2] >= 0).all(axis=1) & np.isin([f.protocol for f in flows], (TCP, UDP))
-    table, window = table[usable], np.array([(f.start_time, f.start_time + f.duration) for f in flows])[usable]
+    names, inverse = np.unique(np.append(flows["label"], benign_label), return_inverse=True)
+    attack = names != benign_label
+    class_names = [benign_label, *names[attack].tolist()]
+    flow_class = (np.cumsum(attack) * attack)[inverse[:-1]]  # benign is 0, the rest in sorted order
 
     # One int64 per order-free endpoint pair and protocol, so a packet
     # matches a flow in either direction; dense endpoint ids keep it exact.
     # Each key's flows, sorted by (start, index), form one run of `order`.
-    n = len(packets)
-    endpoints = np.concatenate([packets.ip, table[:, :2]]) << 16 | np.concatenate([packets.port, table[:, 2:4]])
+    n, window = len(packets), flows["window"]
+    endpoints = np.concatenate([packets.ip, flows["ip"]]) << 16 | np.concatenate([packets.port, flows["port"]])
     ids = np.unique(endpoints, return_inverse=True)[1].reshape(-1, 2)
-    key = (ids.min(axis=1) * endpoints.size + ids.max(axis=1)) * 2 + np.concatenate([packets.tcp, table[:, 4]])
+    key = (ids.min(axis=1) * endpoints.size + ids.max(axis=1)) * 2 + np.concatenate([packets.tcp, flows["tcp"]])
     order = np.lexsort((window[:, 0], key[n:]))
     first = np.searchsorted(key[n:][order], key[:n])
     count = np.searchsorted(key[n:][order], key[:n], side="right") - first
 
     # Candidates rank by rank: the first in-window flow wins, else the first.
-    has_payload = packets.payload_len > 0
+    view, size = np.frombuffer(packets.data, dtype=np.uint8), np.minimum(packets.payload_len, FEATURE_LEN)
+    has_payload = _any_nonzero(view, packets.payload_start, size)
     live = np.flatnonzero(has_payload & (count > 0))
     choice = np.full(n, -1)
     choice[live] = order[first[live]]
@@ -283,13 +271,12 @@ def label_packets(
     report = UnmatchedReport(len(matched), int(np.sum(has_payload & (count == 0))), int(np.sum(~has_payload)))
 
     samples = np.zeros(len(matched), dtype=RECORD_DTYPE).view(np.recarray)
-    samples.label = table[choice[matched], 5]
+    samples.label = flow_class[choice[matched]]
     samples.cluster = NO_CLUSTER
     # row by row from the file's bytes: no (n, 1500) gather index is built
-    view, features = np.frombuffer(packets.data, dtype=np.uint8), samples.features
-    sizes = np.minimum(packets.payload_len[matched], FEATURE_LEN).tolist()
-    for row, (start, size) in enumerate(zip(packets.payload_start[matched].tolist(), sizes)):
-        features[row, :size] = view[start : start + size]
+    features = samples.features
+    for row, (start, length) in enumerate(zip(packets.payload_start[matched].tolist(), size[matched].tolist())):
+        features[row, :length] = view[start : start + length]
     return SampleSet(class_names=class_names, samples=samples), report
 
 
@@ -334,67 +321,65 @@ def undersample_benign(samples: np.recarray, target_ratio: float, seed: int) -> 
     return samples[keep]
 
 
-def _parse_number(value: str, kind: type, column: str):
-    try:
-        return kind(value)
-    except ValueError as exc:
-        raise ValueOutOfRange(f"{column} {value!r} is not a number") from exc
-
-
-def _parse_ip(value: str, column: str) -> str:
+def _parse_ip(value: str, column: str) -> int:
     """A canonical dotted quad, the only spelling a captured packet's address can match."""
-    ip = value.strip()
-    parts = ip.split(".")
+    parts = value.strip().split(".")
     if len(parts) != 4 or not all(p.isascii() and p.isdigit() and str(int(p)) == p and int(p) < 256 for p in parts):
         raise ValueOutOfRange(f"{column} {value!r} is not a canonical dotted quad")
-    return ip
+    return int.from_bytes(bytes(map(int, parts)), "big")
 
 
-def _parse_time(value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        pass
-    try:
-        dt = datetime.fromisoformat(value)
-    except ValueError as exc:
-        raise ValueOutOfRange(f"cannot parse start_time {value!r} as seconds or ISO 8601") from exc
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+def _parse_port(value: str, column: str) -> int:
+    port = value.strip()
+    if not (port.isascii() and port.isdigit() and int(port) <= 0xFFFF):
+        raise ValueOutOfRange(f"{column} {value!r} is not an integer in 0..65535")
+    return int(port)
 
 
-def _parse_protocol(value: str) -> str:
+def _parse_seconds(value: str, column: str) -> float:
+    """A finite number of seconds, in ASCII with no `_`; a start time may
+    also be ISO 8601, read as UTC when it names no zone."""
+    seconds = math.nan
+    if value.isascii() and "_" not in value:
+        with suppress(ValueError):
+            seconds = float(value)
+        with suppress(ValueError):
+            if column == "start_time" and math.isnan(seconds):
+                dt = datetime.fromisoformat(value)
+                seconds = (dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)).timestamp()
+    if not math.isfinite(seconds):
+        raise ValueOutOfRange(f"{column} {value!r} is not a finite number of seconds")
+    return seconds
+
+
+def _parse_tcp(value: str) -> bool:
     v = value.strip().upper()
-    if v in (TCP, str(IPPROTO_TCP)):
-        return TCP
-    if v in (UDP, str(IPPROTO_UDP)):
-        return UDP
-    raise ValueOutOfRange(f"unsupported protocol {value!r} in flow table (TCP/UDP/6/17)")
+    if v not in (TCP, UDP, str(IPPROTO_TCP), str(IPPROTO_UDP)):
+        raise ValueOutOfRange(f"unsupported protocol {value!r} in flow table (TCP/UDP/6/17)")
+    return v in (TCP, str(IPPROTO_TCP))
 
 
-def _flow_record(row: dict, column_map: dict[str, str]) -> FlowRecord:
-    if None in row.values():
-        raise ValueOutOfRange("fewer fields than the header")
-    f = {c: row[column_map[c]] for c in FLOW_COLUMNS}
-    return FlowRecord(
-        src_ip=_parse_ip(f["src_ip"], "src_ip"),
-        src_port=_parse_number(f["src_port"], int, "src_port"),
-        dst_ip=_parse_ip(f["dst_ip"], "dst_ip"),
-        dst_port=_parse_number(f["dst_port"], int, "dst_port"),
-        protocol=_parse_protocol(f["protocol"]),
-        start_time=_parse_time(f["start_time"]),
-        duration=_parse_number(f["duration"], float, "duration"),
-        label=f["label"].strip(),
-    )
+def _flow_row(fields: list[str]) -> tuple:
+    """One `FLOW_DTYPE` row from the fields in `FLOW_COLUMNS` order."""
+    src_ip, src_port, dst_ip, dst_port, protocol, start, duration, label = fields
+    ip = (_parse_ip(src_ip, "src_ip"), _parse_ip(dst_ip, "dst_ip"))
+    port = (_parse_port(src_port, "src_port"), _parse_port(dst_port, "dst_port"))
+    tcp, label = _parse_tcp(protocol), label.strip()
+    start, duration = _parse_seconds(start, "start_time"), _parse_seconds(duration, "duration")
+    if duration < 0:
+        raise ValueOutOfRange(f"duration must be >= 0, got {duration}")
+    if not label:
+        raise ValueOutOfRange("flow label must be non-empty")
+    return ip, port, tcp, (start, start + duration), label
 
 
-def read_flow_csv(path, column_map: dict[str, str]) -> list[FlowRecord]:
-    """Load flow metadata from CSV.
+def read_flow_csv(path, column_map: dict[str, str]) -> np.recarray:
+    """Load flow metadata from CSV as one `FLOW_DTYPE` record array.
 
     `column_map` binds the logical columns (src_ip, src_port, dst_ip,
     dst_port, protocol, start_time, duration, label) to the actual header
-    names, which differ across flow-meter releases.
+    names, which differ across flow-meter releases. Every row must have as
+    many fields as the header; blank lines are skipped.
     """
     missing = [c for c in FLOW_COLUMNS if c not in column_map]
     if missing:
@@ -403,19 +388,25 @@ def read_flow_csv(path, column_map: dict[str, str]) -> list[FlowRecord]:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise UnreadableFile(f"cannot open flow CSV {path}: {exc}") from exc
-    flows = []
+    rows = []
     try:
         with fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            absent = [column_map[c] for c in FLOW_COLUMNS if column_map[c] not in header]
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            index = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+            absent = [column_map[c] for c in FLOW_COLUMNS if column_map[c] not in index]
             if absent:
                 raise ValueOutOfRange(f"flow CSV lacks mapped columns: {', '.join(absent)}")
-            for row in reader:
+            columns = [index[column_map[c]] for c in FLOW_COLUMNS]
+            for row in filter(None, reader):
                 try:
-                    flows.append(_flow_record(row, column_map))
+                    if len(row) != len(header):
+                        raise ValueOutOfRange(f"{len(row)} fields where the header has {len(header)}")
+                    rows.append(_flow_row([row[i] for i in columns]))
                 except ValueOutOfRange as exc:
                     raise ValueOutOfRange(f"flow CSV line {reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise BadEncoding(f"flow CSV {path} is not valid UTF-8: {exc}") from exc
-    return flows
+    except csv.Error as exc:  # a field above the csv module's size limit, say
+        raise ValueOutOfRange(f"flow CSV line {reader.line_num}: {exc}") from exc
+    return np.array(rows, dtype=FLOW_DTYPE).view(np.recarray)

@@ -69,8 +69,6 @@ _STAGES = {
 
 def _cmd_predict(args) -> None:
     base, meta_ens = persistence.load_bundle(args.bundle)
-    if meta_ens is None:
-        raise ConfigError(f"bundle {args.bundle} has no meta-classifiers")
     sample_set = persistence.load_sample_set(args.samples)
     verdicts, mf = meta.predict_batch(base, meta_ens, sample_set.samples)
     persistence.write_verdict_csv(args.out, mf, verdicts)

@@ -196,10 +196,12 @@ def vote(outputs: Sequence[int]) -> Verdict:
     return Verdicts(bits)[0]
 
 
-def predict_batch(base: BaseEnsemble, meta: MetaEnsemble, samples: np.recarray) -> tuple[Verdicts, np.ndarray]:
+def predict_batch(
+    base: BaseEnsemble, meta: Optional[MetaEnsemble], samples: np.recarray
+) -> tuple[Verdicts, np.ndarray]:
     """Verdicts for a record array, plus the meta-feature matrix. A single
-    sample is a one-row slice."""
-    if not base.scorers or not meta.classifiers:
-        raise UntrainedModel("both base and meta ensembles must be trained")
+    sample is a one-row slice. `meta` is None for a `train-base` bundle."""
+    if meta is None or not base.scorers or not meta.classifiers:
+        raise UntrainedModel("both base and meta ensembles must be trained; run train-meta after train-base")
     mf = meta_feature_matrix(base, samples)
     return Verdicts(classifier_outputs(meta, mf)), mf

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import capture, clustering, evaluation, learners, meta, persistence, splits
 from .config import require, setting, setting_list, settings
-from .errors import ConfigError, IoFailure, UntrainedModel
+from .errors import ConfigError, IoFailure
 from .samples import BENIGN_CLASS_ID, SampleSet
 
 log = logging.getLogger("osnids")
@@ -200,8 +200,6 @@ def stage_evaluate(cfg: dict) -> evaluation.EvalReport:
     quantile = setting(cfg, "eval.baseline_quantile", float)
     d1 = persistence.load_sample_set(wd / D1_CLUSTERED)  # before any output is rewritten
     base, meta_ens = persistence.load_bundle(wd / BUNDLE_DIR)
-    if meta_ens is None:
-        raise UntrainedModel("bundle has no meta-classifiers; run train-meta first")
     d3 = persistence.load_sample_set(wd / D3)
     report, verdicts, mf = evaluation.evaluate(base, meta_ens, d3.samples, d3.class_names)
     persistence.write_json(wd / EVAL_REPORT, report.to_dict())

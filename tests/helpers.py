@@ -22,6 +22,7 @@ from osnids import clustering, learners, meta, trees
 from osnids.capture import (
     ETHERTYPE_IPV4,
     ETHERTYPE_VLAN,
+    FLOW_COLUMNS,
     IPPROTO_TCP,
     IPPROTO_UDP,
     LINKTYPE_ETHERNET,
@@ -31,7 +32,9 @@ from osnids.capture import (
     TCP,
     UDP,
     RawPacketRecord,
+    read_flow_csv,
 )
+from osnids.config import DEFAULT_COLUMN_MAP
 from osnids.errors import BadMagic, CountMismatch, TruncatedHeader, UnreadableFile
 from osnids.samples import IMAGE_SHAPE
 
@@ -491,31 +494,40 @@ def _oracle_ipv4(timestamp: float, data: bytes, result: OracleParse):
     return RawPacketRecord(timestamp, src_ip, dst_ip, src_port, dst_port, UDP, segment[8:])
 
 
+def flow_table(directory, flows):
+    """Per-flow tuples (src_ip, src_port, dst_ip, dst_port, protocol, start,
+    duration, label) written as a flow CSV under the default header, then
+    read back as `read_flow_csv`'s record array."""
+    path = Path(directory) / "flow_table.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(DEFAULT_COLUMN_MAP[c] for c in FLOW_COLUMNS)
+        writer.writerows(flows)  # a float prints as its shortest round-trip repr
+    return read_flow_csv(path, DEFAULT_COLUMN_MAP)
+
+
 def join_oracle(packets, flows, benign_label="BENIGN"):
-    """Label every packet by scanning all flows; mirrors the stated rule
-    (bidirectional match, window containment, earliest start) with no
-    indexing shortcuts. Returns per-packet label names or None."""
+    """Label every packet by scanning all flows, given as `flow_table`'s
+    tuples; mirrors the stated rule (bidirectional match, window
+    containment, earliest start) with no indexing shortcuts. Returns
+    per-packet label names or None."""
     out = []
     for p in packets:
         endpoints = {(p.src_ip, p.src_port), (p.dst_ip, p.dst_port)}
         matches = []
-        for i, f in enumerate(flows):
-            if f.protocol != p.protocol:
+        for i, (src_ip, src_port, dst_ip, dst_port, protocol, start, duration, label) in enumerate(flows):
+            if protocol != p.protocol:
                 continue
-            fwd = (f.src_ip, f.src_port)
-            rev = (f.dst_ip, f.dst_port)
-            if {fwd, rev} != endpoints:
+            if {(src_ip, src_port), (dst_ip, dst_port)} != endpoints:
                 continue
-            matches.append((i, f))
+            matches.append((i, start, duration, label))
         if not matches:
             out.append(None)
             continue
-        contained = [
-            (i, f) for i, f in matches if f.start_time <= p.timestamp <= f.start_time + f.duration
-        ]
+        contained = [m for m in matches if m[1] <= p.timestamp <= m[1] + m[2]]
         pool = contained if contained else matches
-        best = min(pool, key=lambda item: (item[1].start_time, item[0]))
-        out.append(best[1].label)
+        best = min(pool, key=lambda m: (m[1], m[0]))
+        out.append(best[3])
     return out
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osnids.capture import (
-    FlowRecord,
+    FLOW_DTYPE,
     ParseResult,
     deduplicate,
     extract_payload_features,
@@ -28,17 +28,13 @@ from osnids.errors import (
 )
 from osnids.samples import BENIGN_CLASS_ID, make_records
 
-from helpers import PCAP_MAGIC_NSEC, arp_frame, build_pcap, dedup_oracle, ipv4_packet, join_oracle
+from helpers import PCAP_MAGIC_NSEC, arp_frame, build_pcap, dedup_oracle, flow_table, ipv4_packet, join_oracle
 
 
 def _write(tmp_path, blob, name="capture.pcap"):
     path = tmp_path / name
     path.write_bytes(blob)
     return path
-
-
-def _flow(src_ip, src_port, dst_ip, dst_port, proto, start, duration, label):
-    return FlowRecord(src_ip, src_port, dst_ip, dst_port, proto, start, duration, label)
 
 
 class TestParseCapture:
@@ -52,14 +48,14 @@ class TestParseCapture:
         assert p.src_port == 1234 and p.dst_port == 53
         assert p.payload == b"\x01\x02\x03\x04"
         assert p.timestamp == pytest.approx(12.5)
-        assert result.skip_count() == 0
+        assert sum(result.skipped.values()) == 0
 
     def test_arp_frame_skipped(self, tmp_path):
         frames = [arp_frame(), ipv4_packet("10.0.0.1", "10.0.0.2", 1, 2, "TCP", b"hi")]
         result = parse_capture(_write(tmp_path, build_pcap(frames)))
         assert len(result.packets) == 1
         assert result.packets[0].protocol == "TCP"
-        assert result.skip_count() == 1
+        assert sum(result.skipped.values()) == 1
         assert result.skipped == {"non_ip": 1}
 
     def test_bad_magic(self, tmp_path):
@@ -145,6 +141,11 @@ class TestExtractPayloadFeatures:
         packet = parse_capture(_write(tmp_path, build_pcap([frame]))).packets[0]
         assert extract_payload_features(packet) is None
 
+    def test_all_zero_payload_absent(self, tmp_path):
+        frames = [ipv4_packet("1.1.1.1", "2.2.2.2", 1, 2, "TCP", p) for p in (b"\x00", b"\x00" * 1500 + b"\x01")]
+        packets = parse_capture(_write(tmp_path, build_pcap(frames))).packets
+        assert [extract_payload_features(p) for p in packets] == [None, None]
+
     def test_truncation_at_1500(self, tmp_path):
         frame = ipv4_packet("1.1.1.1", "2.2.2.2", 1, 2, "UDP", b"\x01" * 1600)
         packet = parse_capture(_write(tmp_path, build_pcap([frame]))).packets[0]
@@ -157,8 +158,8 @@ class TestLabelPackets:
     def test_unique_join(self, tmp_path):
         frame = ipv4_packet("10.0.0.1", "10.0.0.2", 1000, 80, "TCP", b"abc")
         packets = parse_capture(_write(tmp_path, build_pcap([frame], timestamps=[5.0]))).packets
-        flows = [_flow("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 0.0, 10.0, "DoS")]
-        sample_set, report = label_packets(packets, flows)
+        flows = [("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 0.0, 10.0, "DoS")]
+        sample_set, report = label_packets(packets, flow_table(tmp_path, flows))
         assert len(sample_set.samples) == 1
         assert sample_set.name_of(sample_set.samples[0].label) == "DoS"
         assert report.matched == 1 and report.no_match == 0
@@ -166,8 +167,8 @@ class TestLabelPackets:
     def test_bidirectional_match(self, tmp_path):
         frame = ipv4_packet("10.0.0.2", "10.0.0.1", 80, 1000, "TCP", b"abc")
         packets = parse_capture(_write(tmp_path, build_pcap([frame], timestamps=[5.0]))).packets
-        flows = [_flow("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 0.0, 10.0, "PortScan")]
-        sample_set, report = label_packets(packets, flows)
+        flows = [("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 0.0, 10.0, "PortScan")]
+        sample_set, report = label_packets(packets, flow_table(tmp_path, flows))
         assert report.matched == 1
         assert sample_set.name_of(sample_set.samples[0].label) == "PortScan"
 
@@ -175,32 +176,45 @@ class TestLabelPackets:
         frame = ipv4_packet("10.0.0.1", "10.0.0.2", 1000, 80, "TCP", b"abc")
         packets = parse_capture(_write(tmp_path, build_pcap([frame], timestamps=[25.0]))).packets
         flows = [
-            _flow("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 0.0, 10.0, "first"),
-            _flow("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 20.0, 10.0, "second"),
+            ("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 0.0, 10.0, "first"),
+            ("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 20.0, 10.0, "second"),
         ]
-        sample_set, _ = label_packets(packets, flows, benign_label="none")
+        sample_set, _ = label_packets(packets, flow_table(tmp_path, flows), benign_label="none")
         assert sample_set.name_of(sample_set.samples[0].label) == "second"
         assert join_oracle(packets, flows) == ["second"]
 
     def test_no_match_counted(self, tmp_path):
         frame = ipv4_packet("9.9.9.9", "8.8.8.8", 1, 2, "UDP", b"xy")
         packets = parse_capture(_write(tmp_path, build_pcap([frame]))).packets
-        flows = [_flow("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 0.0, 10.0, "BENIGN")]
-        sample_set, report = label_packets(packets, flows)
+        flows = [("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 0.0, 10.0, "BENIGN")]
+        sample_set, report = label_packets(packets, flow_table(tmp_path, flows))
         assert len(sample_set.samples) == 0
         assert report.no_match == 1
 
     def test_empty_payload_counted(self, tmp_path):
         frame = ipv4_packet("10.0.0.1", "10.0.0.2", 1000, 80, "TCP", b"")
         packets = parse_capture(_write(tmp_path, build_pcap([frame]))).packets
-        flows = [_flow("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 0.0, 10.0, "BENIGN")]
-        sample_set, report = label_packets(packets, flows)
+        flows = [("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 0.0, 10.0, "BENIGN")]
+        sample_set, report = label_packets(packets, flow_table(tmp_path, flows))
         assert len(sample_set.samples) == 0
         assert report.empty_payload == 1
 
-    def test_empty_flow_table(self):
+    def test_all_zero_payload_counted_as_empty(self, tmp_path):
+        """A payload whose first 1500 bytes are zero, such as a TCP keep-alive
+        probe's one 0x00 byte, has the feature vector of an empty payload."""
+        payloads = [b"\x00", b"\x00" * 1500 + b"\x07", b"\x00" * 1499 + b"\x07"]
+        frames = [ipv4_packet("10.0.0.1", "10.0.0.2", 1000, 80, "TCP", p) for p in payloads]
+        frames.append(ipv4_packet("10.0.0.5", "10.0.0.6", 1, 2, "UDP", b"\x00"))  # no flow, and last in the file
+        packets = parse_capture(_write(tmp_path, build_pcap(frames, timestamps=[1.0] * 4))).packets
+        flows = [("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 0.0, 10.0, "DoS")]
+        sample_set, report = label_packets(packets, flow_table(tmp_path, flows))
+        assert (report.matched, report.no_match, report.empty_payload) == (1, 0, 3)
+        assert np.argwhere(sample_set.samples.features).tolist() == [[0, 1499]]
+
+    def test_empty_flow_table(self, tmp_path):
+        packets = parse_capture(_write(tmp_path, build_pcap([]))).packets
         with pytest.raises(EmptyFlowTable):
-            label_packets([], [])
+            label_packets(packets, flow_table(tmp_path, []))
 
     def test_benign_is_class_zero(self, tmp_path):
         frames = [
@@ -209,10 +223,10 @@ class TestLabelPackets:
         ]
         packets = parse_capture(_write(tmp_path, build_pcap(frames, timestamps=[1.0, 1.0]))).packets
         flows = [
-            _flow("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 0.0, 10.0, "BENIGN"),
-            _flow("10.0.0.3", 1001, "10.0.0.4", 81, "TCP", 0.0, 10.0, "Bot"),
+            ("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 0.0, 10.0, "BENIGN"),
+            ("10.0.0.3", 1001, "10.0.0.4", 81, "TCP", 0.0, 10.0, "Bot"),
         ]
-        sample_set, _ = label_packets(packets, flows)
+        sample_set, _ = label_packets(packets, flow_table(tmp_path, flows))
         assert sample_set.class_names[BENIGN_CLASS_ID] == "BENIGN"
         labels = {sample_set.name_of(s.label) for s in sample_set.samples}
         assert labels == {"BENIGN", "Bot"}
@@ -224,7 +238,7 @@ class TestLabelPackets:
         for _ in range(100):
             a, b = rng.choice(len(ips), 2, replace=True)
             flows.append(
-                _flow(
+                (
                     ips[a],
                     int(rng.integers(1, 6)) * 100,
                     ips[b],
@@ -238,13 +252,10 @@ class TestLabelPackets:
         frames, stamps = [], []
         for _ in range(1000):
             if rng.random() < 0.7 and flows:
-                f = flows[int(rng.integers(len(flows)))]
-                swap = rng.random() < 0.5
-                src, dst = ((f.dst_ip, f.dst_port), (f.src_ip, f.src_port)) if swap else (
-                    (f.src_ip, f.src_port),
-                    (f.dst_ip, f.dst_port),
-                )
-                proto = f.protocol
+                src_ip, src_port, dst_ip, dst_port, proto = flows[int(rng.integers(len(flows)))][:5]
+                src, dst = (src_ip, src_port), (dst_ip, dst_port)
+                if rng.random() < 0.5:
+                    src, dst = dst, src
             else:
                 src = (str(rng.choice(ips)), int(rng.integers(1, 6)) * 100)
                 dst = (str(rng.choice(ips)), int(rng.integers(1, 6)) * 100)
@@ -254,7 +265,7 @@ class TestLabelPackets:
         packets = parse_capture(_write(tmp_path, build_pcap(frames, timestamps=stamps))).packets
         assert len(packets) == 1000
 
-        sample_set, report = label_packets(packets, flows)
+        sample_set, report = label_packets(packets, flow_table(tmp_path, flows))
         expected = join_oracle(packets, flows)
         got = iter(sample_set.samples)
         for want in expected:
@@ -271,11 +282,11 @@ class TestLabelPackets:
             for _ in range(20)
         ]
         path = _write(tmp_path, build_pcap(frames))
-        flows = [_flow("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 0.0, 100.0, "BENIGN")]
+        flows = [("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", 0.0, 100.0, "BENIGN")]
 
         def run():
             packets = parse_capture(path).packets
-            sample_set, _ = label_packets(packets, flows)
+            sample_set, _ = label_packets(packets, flow_table(tmp_path, flows))
             return b"".join(s.features.tobytes() for s in sample_set.samples)
 
         assert run() == run()
@@ -388,6 +399,17 @@ _FLOW_COLUMN_MAP = {
 }
 _GOOD_FLOW_ROW = b"10.0.0.1,1000,10.0.0.2,80,6,100.5,3.5,BENIGN\n"
 
+# case -> a second data row with a number that is not in ASCII digits or
+# that Python's int() and float() read past (a sign, an underscore)
+NUMBER_SPELLINGS = {
+    "arabic_indic_port": "10.0.0.3,1001,10.0.0.4,٨٠,UDP,200.0,1.0,DoS\n".encode(),
+    "fullwidth_port": "10.0.0.3,８０,10.0.0.4,81,UDP,200.0,1.0,DoS\n".encode(),
+    "plus_sign_port": b"10.0.0.3,1001,10.0.0.4,+80,UDP,200.0,1.0,DoS\n",
+    "underscore_port": b"10.0.0.3,8_0,10.0.0.4,81,UDP,200.0,1.0,DoS\n",
+    "arabic_indic_start_time": "10.0.0.3,1001,10.0.0.4,81,UDP,٣,1.0,DoS\n".encode(),
+    "underscore_duration": b"10.0.0.3,1001,10.0.0.4,81,UDP,200.0,1_0,DoS\n",
+}
+
 # case -> (second data row, expected error); the first row is always good
 HOSTILE_FLOW_ROWS = {
     "non_integer_src_port": (b"10.0.0.3,10x1,10.0.0.4,81,UDP,200.0,1.0,DoS\n", ValueOutOfRange),
@@ -403,6 +425,7 @@ HOSTILE_FLOW_ROWS = {
     "inf_start_time": (b"10.0.0.3,1001,10.0.0.4,81,UDP,-inf,1.0,DoS\n", ValueOutOfRange),
     "src_port_above_65535": (b"10.0.0.3,65536,10.0.0.4,81,UDP,200.0,1.0,DoS\n", ValueOutOfRange),
     "negative_dst_port": (b"10.0.0.3,1001,10.0.0.4,-1,UDP,200.0,1.0,DoS\n", ValueOutOfRange),
+    **{case: (row, ValueOutOfRange) for case, row in NUMBER_SPELLINGS.items()},
 }
 
 # case -> a second data row whose one bad field the reader refuses, naming line 3
@@ -416,6 +439,9 @@ LINE_NAMED_FLOW_ROWS = {
     "empty_label": b"10.0.0.3,1001,10.0.0.4,81,UDP,200.0,1.0,\n",
     "address": b"10.0.0.03,1001,10.0.0.4,81,UDP,200.0,1.0,DoS\n",
     "short_row": b"10.0.0.3,1001,10.0.0.4\n",
+    "long_row": b"10.0.0.3,1001,10.0.0.4,81,UDP,200.0,1.0,DoS,extra\n",
+    "field_above_csv_limit": b"10.0.0.3,1001,10.0.0.4,81,UDP,200.0,1.0," + b"D" * 200_000 + b"\n",
+    **NUMBER_SPELLINGS,
 }
 
 
@@ -438,9 +464,12 @@ class TestFlowCsv:
             "label": "Label",
         }
         flows = read_flow_csv(csv_path, column_map)
-        assert len(flows) == 2
-        assert flows[0].protocol == "TCP" and flows[1].protocol == "UDP"
-        assert flows[0].start_time == pytest.approx(100.5)
+        assert flows.dtype == FLOW_DTYPE and len(flows) == 2
+        assert flows.ip.tolist() == [[0x0A000001, 0x0A000002], [0x0A000003, 0x0A000004]]
+        assert flows.port.tolist() == [[1000, 80], [1001, 81]]
+        assert flows.tcp.tolist() == [True, False]
+        assert flows.window.tolist() == [[100.5, 104.0], [200.0, 201.0]]
+        assert flows.label.tolist() == ["BENIGN", "DoS"]
 
     def test_missing_mapped_column(self, tmp_path):
         csv_path = tmp_path / "flows.csv"
@@ -470,7 +499,7 @@ class TestFlowCsv:
         csv_path = tmp_path / "flows.csv"
         csv_path.write_bytes(_FLOW_HEADER.encode() + b"10.0.0.1,0,10.0.0.2,65535,TCP,0,0,BENIGN\n")
         (flow,) = read_flow_csv(csv_path, _FLOW_COLUMN_MAP)
-        assert (flow.src_port, flow.dst_port, flow.duration) == (0, 65535, 0.0)
+        assert (flow.port.tolist(), flow.window.tolist()) == ([0, 65535], [0.0, 0.0])
 
 
 def _mutate(data, blob: bytes) -> bytes:
@@ -525,7 +554,6 @@ class TestDecoderMutations:
         except (BadEncoding, ValueOutOfRange) as exc:
             assert exc.exit_code == (2 if isinstance(exc, BadEncoding) else 3)
             return
-        for flow in records:
-            assert isinstance(flow, FlowRecord) and flow.label
-            assert 0 <= flow.src_port <= 0xFFFF and 0 <= flow.dst_port <= 0xFFFF
-            assert np.isfinite(flow.start_time) and np.isfinite(flow.duration) and flow.duration >= 0
+        assert records.dtype == FLOW_DTYPE and all(records.label)
+        assert ((0 <= records.port) & (records.port <= 0xFFFF)).all()
+        assert np.isfinite(records.window).all() and (records.window[:, 0] <= records.window[:, 1]).all()

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from osnids.capture import (
     FLOW_COLUMNS,
-    FlowRecord,
     extract_payload_features,
     label_packets,
     parse_capture,
@@ -29,6 +28,7 @@ from helpers import (
     PCAP_MAGIC_USEC,
     arp_frame,
     build_pcap,
+    flow_table,
     ipv4_packet,
     join_oracle,
     parse_oracle,
@@ -129,7 +129,7 @@ def _assert_same(path):
     assert list(got) == want.packets
     assert [got.packets[i] for i in range(-len(got), 0)] == want.packets
     assert got.skipped == want.skipped
-    assert got.skip_count() == sum(want.skipped.values())
+    assert sum(got.skipped.values()) == sum(want.skipped.values())
 
 
 class TestHandBuiltCaptures:
@@ -218,36 +218,34 @@ class TestMutatedCaptures:
         _assert_same(path)
 
 
-def _flow(src_ip, src_port, dst_ip, dst_port, proto, start, duration, label):
-    return FlowRecord(src_ip, src_port, dst_ip, dst_port, proto, start, duration, label)
-
-
-def _assert_join(path, flows):
-    """`label_packets` gives `join_oracle`'s label to every packet with a
-    payload, in packet order, with its payload bytes."""
+def _assert_join(path, flows, table=None):
+    """`label_packets`, on `table` or else the one `flow_table` reads back
+    from the tuples `flows`, gives `join_oracle`'s label to every packet
+    with a feature vector, in packet order, with its payload bytes."""
     packets = parse_capture(path).packets
-    sample_set, report = label_packets(packets, flows)
-    want = [(p, label) for p, label in zip(packets, join_oracle(packets, flows)) if p.payload]
+    sample_set, report = label_packets(packets, flow_table(path.parent, flows) if table is None else table)
+    labels = join_oracle(packets, flows)
+    want = [(p, label) for p, label in zip(packets, labels) if extract_payload_features(p) is not None]
     matched = [(p, label) for p, label in want if label is not None]
     assert [sample_set.name_of(s.label) for s in sample_set.samples] == [label for _, label in matched]
     for row, (p, _) in zip(sample_set.samples, matched):
         assert row.features.tobytes() == extract_payload_features(p).tobytes()
         assert row.cluster == -1
     assert (report.matched, report.no_match) == (len(matched), len(want) - len(matched))
-    assert report.empty_payload == sum(1 for p in packets if not p.payload)
+    assert report.empty_payload == len(packets) - len(want)
 
 
 class TestJoinAgainstOracle:
     def test_repeated_five_tuples_and_window_edges(self, tmp_path):
         a, b = ("10.0.0.1", 1000), ("10.0.0.2", 80)
         flows = [
-            _flow(*a, *b, "TCP", 10.0, 0.25, "edge_end"),  # closes at 10.25
-            _flow(*b, *a, "TCP", 10.25, 1.0, "edge_start"),  # opens at 10.25, other direction
-            _flow(*a, *b, "TCP", 10.25, 0.0, "zero_length"),
-            _flow(*a, *b, "TCP", 5.0, 1.0, "early"),
-            _flow(*a, *b, "TCP", 5.0, 1.0, "early_twin"),  # same start: the lower index wins
-            _flow(*a, *b, "UDP", 0.0, 100.0, "udp_only"),
-            _flow(*a, *b, "TCP", 30.0, 5.0, "late"),
+            (*a, *b, "TCP", 10.0, 0.25, "edge_end"),  # closes at 10.25
+            (*b, *a, "TCP", 10.25, 1.0, "edge_start"),  # opens at 10.25, other direction
+            (*a, *b, "TCP", 10.25, 0.0, "zero_length"),
+            (*a, *b, "TCP", 5.0, 1.0, "early"),
+            (*a, *b, "TCP", 5.0, 1.0, "early_twin"),  # same start: the lower index wins
+            (*a, *b, "UDP", 0.0, 100.0, "udp_only"),
+            (*a, *b, "TCP", 30.0, 5.0, "late"),
         ]
         stamps = [10.25, 10.0, 5.0, 6.0, 6.5, 20.0, 35.0, 35.5, 0.0, 10.5]
         frames = [ipv4_packet(a[0], b[0], a[1], b[1], "TCP", bytes([i + 1])) for i in range(len(stamps))]
@@ -263,10 +261,10 @@ class TestJoinAgainstOracle:
         rng = np.random.default_rng(21)
         starts, lengths = rng.integers(0, 400, 300), rng.integers(0, 6, 300)
         flows = [
-            _flow("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", float(start), float(length), f"c{i % 5}")
+            ("10.0.0.1", 1000, "10.0.0.2", 80, "TCP", float(start), float(length), f"c{i % 5}")
             for i, (start, length) in enumerate(zip(starts, lengths))
         ]
-        flows += [_flow("10.0.0.2", 80, "10.0.0.1", 1000, "UDP", 50.0, 10.0, "udp")]
+        flows += [("10.0.0.2", 80, "10.0.0.1", 1000, "UDP", 50.0, 10.0, "udp")]
         stamps = [float(t) for t in rng.integers(0, 420, 400)] + [55.0]
         frames = [ipv4_packet("10.0.0.2", "10.0.0.1", 80, 1000, "TCP", b"p") for _ in range(400)]
         frames += [ipv4_packet("10.0.0.1", "10.0.0.2", 1000, 80, "UDP", b"q")]
@@ -286,13 +284,14 @@ class TestJoinAgainstOracle:
         path = tmp_path / "spelling.pcap"
         path.write_bytes(build_pcap(frames, timestamps=[1.0, 1.0]))
         header = ",".join(DEFAULT_COLUMN_MAP[c] for c in FLOW_COLUMNS)
-        for column, row in (("src_ip", f"{spelling},1000,10.0.0.2,80"), ("dst_ip", f"10.0.0.4,81,{spelling},2000")):
+        good = ("10.0.0.3", 2000, "10.0.0.4", 81, "TCP", 0.0, 10.0, "DoS")
+        for column, ends in (("src_ip", ("10.0.0.1", 1000, "10.0.0.2", 80)), ("dst_ip", ("10.0.0.4", 81, "10.0.0.1", 2000))):
+            flows = [good, (*ends, "TCP", 0.0, 10.0, "odd_spelling")]
+            rows = [",".join(map(str, flow)) for flow in flows]
             csv_path = tmp_path / "flows.csv"
-            csv_path.write_text(f"{header}\n10.0.0.3,2000,10.0.0.4,81,TCP,0,10,DoS\n{row},TCP,0,10,odd_spelling\n")
+            csv_path.write_text(f"{header}\n{rows[0]}\n{rows[1].replace('10.0.0.1', spelling)}\n")
             if spelling.strip() == "10.0.0.1":
-                flows = read_flow_csv(csv_path, DEFAULT_COLUMN_MAP)
-                assert getattr(flows[1], column) == "10.0.0.1"
-                _assert_join(path, flows)
+                _assert_join(path, flows, read_flow_csv(csv_path, DEFAULT_COLUMN_MAP))
             else:
                 with pytest.raises(ValueOutOfRange, match=f"flow CSV line 3: {column} ") as info:
                     read_flow_csv(csv_path, DEFAULT_COLUMN_MAP)
@@ -307,7 +306,7 @@ class TestJoinAgainstOracle:
             a, b = rng.choice(len(hosts), 2)
             start = float(rng.integers(0, 40)) / 4
             duration, label = float(rng.integers(0, 12)) / 4, str(rng.choice(["BENIGN", "a", "b", "c"]))
-            flows.append(_flow(*hosts[a], *hosts[b], str(rng.choice(["TCP", "UDP"])), start, duration, label))
+            flows.append((*hosts[a], *hosts[b], str(rng.choice(["TCP", "UDP"])), start, duration, label))
         frames, stamps = [], []
         for _ in range(300):
             a, b = rng.choice(len(hosts), 2)

@@ -524,6 +524,7 @@ def _run_cli_child(argv, **env):
 _HOSTILE_FLOW_ROWS = {
     "non_integer_port": (b"10.0.0.1,80x,10.0.0.2,80,TCP,0,1,BENIGN\n", 3),
     "non_utf8_label": (b"10.0.0.1,80,10.0.0.2,80,TCP,0,1,BEN\xffIGN\n", 2),
+    "field_above_csv_limit": (b"10.0.0.1,80,10.0.0.2,80,TCP,0,1," + b"B" * 200_000 + b"\n", 3),
 }
 
 # case -> (manifest -> (key, hostile value)); each must make `osnids predict` exit 2
@@ -863,6 +864,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "cannot read" in err and "d1_clustered.sset" in err
         assert not set(outputs) & {p.name for p in wd.iterdir()}
+
+    def test_bundle_without_meta_classifiers_is_one_refusal(self, finished_run, tmp_path, capsys):
+        """`evaluate` and `predict` refuse a `train-base` bundle with the same
+        error (exit 3), and neither writes an output."""
+        import shutil
+
+        from osnids.persistence import load_bundle, save_bundle
+
+        _, workdir, cfg, _ = finished_run
+        wd = tmp_path / "wd"
+        shutil.copytree(workdir, wd)
+        base, _ = load_bundle(wd / "bundle")
+        save_bundle(base, None, wd / "bundle")
+        outputs = ("eval_report.json", "eval_report.csv", "verdicts.csv", "baseline_report.json")
+        for name in outputs:
+            (wd / name).unlink()
+        capsys.readouterr()
+        assert main(["evaluate", "--config", _write_config(tmp_path, {**cfg, "workdir": str(wd)})]) == 3
+        evaluate_err = capsys.readouterr().err
+        out = tmp_path / "v.csv"
+        argv = ["predict", "--bundle", str(wd / "bundle"), "--samples", str(wd / "d3.sset"), "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == evaluate_err and evaluate_err.startswith("error:")
+        assert not set(outputs) & {p.name for p in wd.iterdir()} and not out.exists()
 
     def test_train_base_does_not_read_clustering_json(self, finished_run, tmp_path):
         import shutil

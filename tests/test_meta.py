@@ -276,6 +276,15 @@ class TestPredict:
         with pytest.raises(UntrainedModel):
             predict_batch(hollow, ensemble, sample)
 
+    def test_missing_meta_ensemble(self):
+        """A `train-base` bundle loads with no meta ensemble (None)."""
+        from osnids.learners import BaseEnsemble, BinaryScorer
+
+        base = BaseEnsemble(scorers=[BinaryScorer(kind="logistic", params=np.zeros(1501)) for _ in range(2)])
+        sample = make_records(np.ones((1, 1500), dtype=np.uint8), 0)
+        with pytest.raises(UntrainedModel):
+            predict_batch(base, None, sample)
+
 
 class TestVerdictCsv:
     def test_audit_columns(self, tmp_path):
