@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+import socket
 import struct
 from collections import Counter
 from collections.abc import Sequence
@@ -48,6 +50,8 @@ FLOW_COLUMNS = ("src_ip", "src_port", "dst_ip", "dst_port", "protocol", "start_t
 # One row per flow CSV row, in file order. Column 0 of `ip` and `port` is the
 # source; `window` is (start, start + duration) in seconds.
 FLOW_DTYPE = np.dtype([("ip", "i8", (2,)), ("port", "i8", (2,)), ("tcp", "?"), ("window", "f8", (2,)), ("label", "O")])
+_OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"  # 0..255 in ASCII digits, no leading zero
+_DOTTED_QUAD = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
 
 
 @dataclass(frozen=True)
@@ -323,10 +327,10 @@ def undersample_benign(samples: np.recarray, target_ratio: float, seed: int) -> 
 
 def _parse_ip(value: str, column: str) -> int:
     """A canonical dotted quad, the only spelling a captured packet's address can match."""
-    parts = value.strip().split(".")
-    if len(parts) != 4 or not all(p.isascii() and p.isdigit() and str(int(p)) == p and int(p) < 256 for p in parts):
+    quad = value.strip()
+    if not _DOTTED_QUAD.fullmatch(quad):
         raise ValueOutOfRange(f"{column} {value!r} is not a canonical dotted quad")
-    return int.from_bytes(bytes(map(int, parts)), "big")
+    return int.from_bytes(socket.inet_aton(quad), "big")
 
 
 def _parse_port(value: str, column: str) -> int:

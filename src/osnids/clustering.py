@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .errors import (
     SingleCluster,
     TooFewPoints,
 )
+from .parallel import fork_map
 from .samples import BENIGN_CLASS_ID
 
 _EPS = 1e-12
@@ -65,13 +66,14 @@ def _conditional_affinities(d2: np.ndarray, perplexity: float) -> np.ndarray:
     """Per-point Gaussian affinities with bandwidth matched to the perplexity.
 
     For each point the precision beta is bisected until the entropy of the
-    conditional distribution is within ENTROPY_TOL of log(perplexity).
+    conditional distribution is within ENTROPY_TOL of log(perplexity); the
+    rows run side by side (`fork_map`).
     """
     n = d2.shape[0]
     target = math.log(perplexity)
-    P = np.zeros((n, n))
     others = np.arange(n)
-    for i in range(n):
+
+    def row(i: int) -> np.ndarray:
         idx = others[others != i]
         d = d2[i, idx]
         dmin = d.min()
@@ -91,8 +93,11 @@ def _conditional_affinities(d2: np.ndarray, perplexity: float) -> np.ndarray:
             else:
                 beta_max = beta
                 beta = beta / 2.0 if beta_min == -np.inf else (beta + beta_min) / 2.0
-        P[i, idx] = p / z
-    return P
+        out = np.zeros(n)
+        out[idx] = p / z
+        return out
+
+    return np.array(fork_map(row, range(n)))
 
 
 def _kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
@@ -227,18 +232,8 @@ def _lloyd(P: np.ndarray, centroids: np.ndarray, max_iter: int = 300) -> KMeansR
     return KMeansResult(assignments=assignments, centroids=centroids, sse=trace[-1], sse_trace=trace)
 
 
-def kmeans(
-    P,
-    k: int,
-    restarts: int = 10,
-    seed: int = 0,
-    extra_inits: Optional[Sequence[np.ndarray]] = None,
-) -> KMeansResult:
-    """Best-of-restarts Lloyd's algorithm with k-means++ seeding.
-
-    `extra_inits` lets callers add deterministic warm starts; they compete
-    on equal footing with the seeded restarts.
-    """
+def kmeans(P, k: int, restarts: int = 10, seed: int = 0) -> KMeansResult:
+    """Best-of-restarts Lloyd's algorithm with k-means++ seeding."""
     P = np.asarray(P, dtype=np.float64)
     if k < 1 or P.shape[0] < k:
         raise TooFewPoints(f"k-means needs n >= k >= 1, got n={P.shape[0]}, k={k}")
@@ -246,7 +241,6 @@ def kmeans(
         raise InvalidRange(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(seed)
     inits = [_kmeans_pp_init(P, k, rng) for _ in range(restarts)]
-    inits += [np.asarray(init, dtype=np.float64) for init in extra_inits or ()]
     return min((_lloyd(P, init) for init in inits), key=lambda result: result.sse)  # the first best wins ties
 
 
@@ -307,7 +301,8 @@ def select_cluster_count(
 
     Each k also gets a warm start built from the previous k's solution
     (its centroids plus the worst-fit point), which keeps the reported
-    SSE curve non-increasing in k.
+    SSE curve non-increasing in k. Every k's seeded restarts run side by
+    side (`fork_map`); the warm starts, which chain, run one after another.
     """
     P = np.asarray(P, dtype=np.float64)
     n = P.shape[0]
@@ -316,15 +311,17 @@ def select_cluster_count(
 
     distances = np.sqrt(_squared_distances(P))
     seeds = np.random.SeedSequence(seed).generate_state(k_max - k_min + 1)
+    ks = range(k_max, k_min - 1, -1)  # the largest k, the longest search, first
+    seeded = dict(zip(ks, fork_map(lambda k: kmeans(P, k, restarts=restarts, seed=int(seeds[k - k_min])), ks)))
     per_k: list[tuple[int, float, float]] = []
     best_row: Optional[tuple[float, int, KMeansResult]] = None
     prev: Optional[KMeansResult] = None
-    for i, k in enumerate(range(k_min, k_max + 1)):
-        extra = []
+    for k in range(k_min, k_max + 1):
+        result = seeded[k]
         if prev is not None:
             worst = int(np.argmax(np.sum((P - prev.centroids[prev.assignments]) ** 2, axis=1)))
-            extra.append(np.vstack([prev.centroids, P[worst]]))
-        result = kmeans(P, k, restarts=restarts, seed=int(seeds[i]), extra_inits=extra)
+            warm = _lloyd(P, np.vstack([prev.centroids, P[worst]]))
+            result = min(result, warm, key=lambda r: r.sse)  # as in `kmeans`, the seeded restarts win ties
         sil = silhouette_score(P, result.assignments, distances=distances)
         per_k.append((k, result.sse, sil))
         if best_row is None or sil > best_row[0]:

@@ -28,6 +28,7 @@ from .errors import (
     NonFiniteLoss,
     UntrainedEnsemble,
 )
+from .parallel import fork_map
 from .samples import FEATURE_LEN, IMAGE_SHAPE
 
 LOGISTIC = "logistic"
@@ -54,6 +55,7 @@ _SHAPES = {
 _ORDER = ("W1", "b1", "W2", "b2", "Wd", "bd")
 CONVNET_N_PARAMS = sum(int(np.prod(s)) for s in _SHAPES.values())
 SCORE_BLOCK = 256  # rows a scoring pass; 333-row blocks lost BLAS row alignment and changed last bits
+FORK_ROWS = 16 * SCORE_BLOCK  # rows a scoring worker's unit; 1,505-row D3s ran slower forked
 MIN_SIDE_ROWS = 10  # a scorer needs this many rows in its cluster and in the rest of benign
 
 
@@ -338,7 +340,7 @@ def train_base_ensemble(
     kind: str = LOGISTIC,
 ) -> BaseEnsemble:
     """Train the N cluster-vs-rest-of-benign scorers on clustered D1
-    records; ordering follows cluster ids."""
+    records, side by side (`fork_map`); ordering follows cluster ids."""
     present = np.unique(d1.cluster)
     if not np.array_equal(present, np.arange(n)):
         raise MissingCluster(f"cluster ids {present.tolist()} do not cover 0..{n - 1}")
@@ -348,19 +350,24 @@ def train_base_ensemble(
     seeds = np.random.SeedSequence(base.seed).generate_state(n)
     tensors = sample_tensors(d1)
     ys = [(d1.cluster == i).astype(np.float64) for i in range(n)]
-    scorers = [train_scorer(tensors, ys[i], kind, replace(base, seed=int(seeds[i]))) for i in range(n)]
+    scorers = fork_map(lambda i: train_scorer(tensors, ys[i], kind, replace(base, seed=int(seeds[i]))), range(n))
     return BaseEnsemble(scorers=scorers)
 
 
 def meta_feature_matrix(ensemble: BaseEnsemble, samples: np.recarray) -> np.ndarray:
     """The records' N membership probabilities, in cluster order: (n, N), built and
-    scored a block of rows at a time. A single sample is a one-row slice."""
+    scored a block of rows at a time, FORK_ROWS rows a worker's unit. A single
+    sample is a one-row slice."""
     if not ensemble.scorers:
         raise UntrainedEnsemble("base ensemble has no trained scorers")
-    out = np.empty((len(samples), len(ensemble.scorers)))
-    for i in range(0, len(samples), SCORE_BLOCK):  # one block's tensors at a time, not the batch's
-        tensors = sample_tensors(samples[i : i + SCORE_BLOCK])
-        for j, scorer in enumerate(ensemble.scorers):
-            scores = _KIND_FNS[scorer.kind][2]
-            out[i : i + SCORE_BLOCK, j] = scores(scorer.params, tensors)
-    return out
+
+    def score(span: np.recarray) -> np.ndarray:
+        out = np.empty((len(span), len(ensemble.scorers)))
+        for i in range(0, len(span), SCORE_BLOCK):  # one block's tensors at a time, not the batch's
+            tensors = sample_tensors(span[i : i + SCORE_BLOCK])
+            for j, scorer in enumerate(ensemble.scorers):
+                out[i : i + SCORE_BLOCK, j] = _KIND_FNS[scorer.kind][2](scorer.params, tensors)
+        return out
+
+    spans = [samples[i : i + FORK_ROWS] for i in range(0, max(len(samples), 1), FORK_ROWS)]  # empty: one empty span
+    return np.concatenate(fork_map(score, spans))

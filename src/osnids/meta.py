@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InvalidRange, LengthMismatch, SingleClassLabels, UntrainedModel, WrongArity
 from .learners import BaseEnsemble, meta_feature_matrix
+from .parallel import fork_map
 from .trees import GradientBoostedTrees, RandomForest, sigmoid
 
 BENIGN = "benign"
@@ -126,7 +127,8 @@ def train_meta_classifiers(
     """Fit all four families on identical data.
 
     Holdout accuracy per family is measured first on a seeded 80/20 split,
-    then each classifier is refit on the full data.
+    then each classifier is refit on the full data; the eight fits run side
+    by side (`fork_map`).
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -144,19 +146,23 @@ def train_meta_classifiers(
         raise InvalidRange(f"holdout_fraction {config.holdout_fraction} leaves no {side} row of {X.shape[0]} rows")
     train_idx, hold_idx = order[:n_train], order[n_train:]
 
-    family_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(VOTE_ARITY)]
-    classifiers = []
-    holdout_accuracy = {}
+    family_seeds = dict(zip(META_FAMILIES, np.random.SeedSequence(seed).generate_state(VOTE_ARITY).tolist()))
     measurable = hold_idx.size > 0 and np.unique(y[train_idx]).size == 2
-    for family, fam_seed in zip(META_FAMILIES, family_seeds):
-        if measurable:
-            probe = _make_classifier(family, config, fam_seed)
-            probe.fit(X[train_idx], y[train_idx])
-            pred = (probe.predict_proba(X[hold_idx]) >= 0.5).astype(np.float64)
-            holdout_accuracy[family] = float((pred == y[hold_idx]).mean())
-        clf = _make_classifier(family, config, fam_seed)
-        clf.fit(X, y)
-        classifiers.append(clf)
+
+    def fit(job):
+        family, probe = job
+        clf = _make_classifier(family, config, family_seeds[family])
+        if not probe:
+            return clf.fit(X, y)
+        clf.fit(X[train_idx], y[train_idx])
+        pred = (clf.predict_proba(X[hold_idx]) >= 0.5).astype(np.float64)
+        return float((pred == y[hold_idx]).mean())
+
+    probes = (True, False) if measurable else (False,)
+    jobs = [(family, probe) for family in META_FAMILIES for probe in probes]  # the plain loop's order
+    done = dict(zip(jobs, fork_map(fit, jobs)))
+    classifiers = [done[family, False] for family in META_FAMILIES]
+    holdout_accuracy = {family: done[family, True] for family in META_FAMILIES if measurable}
     return MetaEnsemble(
         classifiers=classifiers,
         holdout_accuracy=holdout_accuracy,

@@ -395,6 +395,29 @@ class TestBenchmarkContract:
             batch_p = [float(row[f"p_{k + 1}"]) for k in range(len(p))]
             assert np.allclose(p, batch_p, rtol=0, atol=1e-9)
 
+    def test_traced_training_records_the_forked_loops(self, finished_run, tmp_path):
+        """Each forked loop runs a share in this process, so a traced run still
+        sees the calls the benchmark reports on (perfbench's `layer_metrics`
+        fails a traced run that recorded none)."""
+        import shutil
+
+        _, workdir, cfg, _ = finished_run
+        shutil.copytree(workdir, tmp_path / "wd")
+        config_path = _write_config(tmp_path, {**cfg, "workdir": str(tmp_path / "wd")})
+        library = _perfbench_library()
+        tracer = library.Tracer()
+        library.install_layer_spans(tracer)
+        try:
+            for stage in ("cluster", "train-base", "train-meta"):
+                assert library.cli_main([stage, "--config", config_path]) == 0
+        finally:
+            tracer.unwrap()
+        names = tracer.names()
+        assert {"clustering.tsne", "clustering.kmeans_sweep", "learners.train_base", "learners.train_scorer",
+                "learners.meta_features", "meta.train"} <= names
+        for name in ("bundle/manifest.json", "training_curves.csv", "clustering.csv"):
+            assert (tmp_path / "wd" / name).read_bytes() == (workdir / name).read_bytes()
+
     def test_fit_meta_families_runs(self, finished_run):
         _, workdir, cfg, _ = finished_run
         library = _perfbench_library()

@@ -135,8 +135,12 @@ class TestBlockScoring:
             return sample_tensors(samples)
 
         monkeypatch.setattr("osnids.learners.sample_tensors", tensors)
+        monkeypatch.setattr("osnids.learners.FORK_ROWS", SCORE_BLOCK)  # a worker's unit a block, so n > 256 forks
         got = meta_feature_matrix(ensemble, rows)
         assert got.shape == (n, 3) and got.tobytes() == expected.tobytes()
+        built.clear()  # a forked worker's builds never reach this list
+        monkeypatch.setattr("osnids.parallel.cpu_count", lambda: 1)
+        assert meta_feature_matrix(ensemble, rows).tobytes() == expected.tobytes()
         assert built == [min(SCORE_BLOCK, n - i) for i in range(0, n, SCORE_BLOCK)]
 
 
